@@ -13,9 +13,11 @@ Floats are echoed back via repr so a round trip through
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,42 +27,8 @@ from .engine import SimulationTrace, run
 from .model import ApertureState, Chemistry, FilterConfig
 from .sediment import CalibrationInfeasibleError, calibrate_rate_constant
 
-_FLOAT_KEYS = {
-    "L_x": "m", "L_y": "m", "L_z": "m",
-    "p_grad": "Pa/m", "mu": "Pa s",
-    "l_particle": "m", "N_particles": "m^-3",
-    "r_side": "m", "c0_entrance": "m^-3",
-    "flow_stop_fraction": "1", "seal_fraction": "1",
-    "depletion_threshold": "1", "solver_tol": "m^3/s",
-}
-_INT_KEYS = {"n_x": "", "n_y": "", "n_z": "", "seed": "", "solver_max_iter": ""}
-_CHEM_KEYS = {
-    "chemistry.K": ("rate_constant", "concentration units"),
-    "chemistry.n": ("reaction_order", ""),
-    "chemistry.D": ("diffusivity", "m^2/s"),
-    "chemistry.mu2": ("sediment_molar_mass", "kg/mol"),
-    "chemistry.n2": ("sediment_stoichiometry", ""),
-    "chemistry.rho2": ("sediment_density", "kg/m^3"),
-    "chemistry.mu0": ("solute_molar_mass", "kg/mol"),
-}
-_STATE_CHARS = {
-    int(ApertureState.OPEN): ".",
-    int(ApertureState.PARTICLE_BLOCKED): "#",
-    int(ApertureState.SEDIMENT_SEALED): "o",
-}
-_STATE_NAMES = {
-    int(ApertureState.OPEN): "open",
-    int(ApertureState.PARTICLE_BLOCKED): "particle-blocked",
-    int(ApertureState.SEDIMENT_SEALED): "sediment-sealed",
-}
-
-
-def _num(key: str, value: str, unit: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        suffix = f" ({unit})" if unit else ""
-        raise ValueError(f"config key {key!r} expects a number{suffix}, got {value!r}") from None
+_STATE_CHARS = {int(state): char for state, char in zip(ApertureState, ".#o")}
+_STATE_NAMES = {int(state): state.name.lower().replace("_", "-") for state in ApertureState}
 
 
 def _int(key: str, value: str) -> int:
@@ -68,6 +36,34 @@ def _int(key: str, value: str) -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"config key {key!r} expects an integer, got {value!r}") from None
+
+
+def _real(unit: str):
+    def parse(key: str, value: str) -> float:
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r} expects a number ({unit}), got {value!r}") from None
+    return parse
+
+
+def _listed(parse_one):
+    """Parse a comma-separated list; a single item stays a scalar."""
+    def parse(key: str, value: str):
+        vals = [parse_one(key, p.strip()) for p in value.split(",")]
+        return vals[0] if len(vals) == 1 else tuple(vals)
+    return parse
+
+
+def _listed_text(format_one):
+    return lambda value: (format_one(value) if np.isscalar(value)
+                          else ", ".join(format_one(v) for v in value))
+
+
+def _word_or(word: str, meaning, parse_other):
+    """Parse ``word`` (any case) as ``meaning``, anything else with ``parse_other``."""
+    return lambda key, value: meaning if value.lower() == word else parse_other(key, value)
 
 
 def _parse_window(key: str, value: str):
@@ -87,10 +83,70 @@ def _parse_window(key: str, value: str):
     return tuple(spans)
 
 
-def _parse_float_list(key: str, value: str, unit: str):
-    parts = [p.strip() for p in value.split(",")]
-    vals = [_num(key, p, unit) for p in parts]
-    return vals[0] if len(vals) == 1 else tuple(vals)
+def _format_window(window) -> str:
+    if window is None:
+        return "full"
+    return ", ".join(f"{lo}..{hi}" for lo, hi in window)
+
+
+def _text(key: str, value: str) -> str:
+    return value   # FilterConfig.validate checks the allowed words
+
+
+class _Key(NamedTuple):
+    key: str      # name in the config file
+    field: str    # FilterConfig field; Chemistry field for the chemistry.* keys
+    parse: Callable[[str, str], object]   # (key, text) -> value
+    format: Callable[[object], str]
+    echo: str     # format_config writes the key _ALWAYS, _WITH_CHEMISTRY or when _NOT_DEFAULT
+
+    @property
+    def chemical(self) -> bool:
+        return self.key.startswith("chemistry.")
+
+
+_ALWAYS, _WITH_CHEMISTRY, _NOT_DEFAULT = "always", "with chemistry", "not default"
+_SCHEMA = [_Key(*row) for row in (   # every config key, in echo order
+    ("L_x", "L_x", _real("m"), repr, _ALWAYS),
+    ("L_y", "L_y", _real("m"), repr, _ALWAYS),
+    ("L_z", "L_z", _real("m"), repr, _ALWAYS),
+    ("n_x", "n_x", _int, str, _ALWAYS),
+    ("n_y", "n_y", _int, str, _ALWAYS),
+    ("n_z", "n_z", _int, str, _ALWAYS),
+    ("p_grad", "p_grad", _real("Pa/m"), repr, _ALWAYS),
+    ("mu", "mu", _real("Pa s"), repr, _ALWAYS),
+    ("l_particle", "l_particle", _real("m"), repr, _ALWAYS),
+    ("N_particles", "N_particles", _real("m^-3"), repr, _ALWAYS),
+    ("r_filter", "r_filter", _listed(_real("m")), _listed_text(lambda r: repr(float(r))),
+     _ALWAYS),
+    ("r_side", "r_side", _real("m"), repr, _ALWAYS),
+    ("inlet_window", "inlet_window", _parse_window, _format_window, _ALWAYS),
+    ("outlet_window", "outlet_window", _parse_window, _format_window, _ALWAYS),
+    ("chemistry.K", "rate_constant", _real("concentration units"), repr, _WITH_CHEMISTRY),
+    ("chemistry.n", "reaction_order", _int, str, _WITH_CHEMISTRY),
+    ("chemistry.D", "diffusivity", _real("m^2/s"), repr, _WITH_CHEMISTRY),
+    ("chemistry.mu2", "sediment_molar_mass", _real("kg/mol"), repr, _WITH_CHEMISTRY),
+    ("chemistry.n2", "sediment_stoichiometry", _int, str, _WITH_CHEMISTRY),
+    ("chemistry.rho2", "sediment_density", _real("kg/m^3"), repr, _WITH_CHEMISTRY),
+    ("chemistry.mu0", "solute_molar_mass", _real("kg/mol"), repr, _WITH_CHEMISTRY),
+    ("c0_entrance", "c0_entrance", _real("m^-3"), repr, _WITH_CHEMISTRY),
+    ("dt", "dt", _word_or("adaptive", "adaptive", _real("s")),
+     lambda dt: "adaptive" if isinstance(dt, str) else repr(float(dt)), _ALWAYS),
+    ("time_limit", "time_limit", _word_or("none", None, _real("s")),
+     lambda limit: "none" if limit is None else repr(float(limit)), _ALWAYS),
+    ("blocking_law", "blocking_law", _text, str, _ALWAYS),
+    ("seed", "seed", _int, str, _ALWAYS),
+    ("flow_stop_fraction", "flow_stop_fraction", _real("1"), repr, _ALWAYS),
+    ("seal_fraction", "seal_fraction", _real("1"), repr, _ALWAYS),
+    ("depletion_threshold", "depletion_threshold", _real("1"), repr, _ALWAYS),
+    ("solver_tol", "solver_tol", _real("m^3/s"), repr, _NOT_DEFAULT),
+    ("solver_max_iter", "solver_max_iter", _int, str, _NOT_DEFAULT),
+    ("solver_sweep", "solver_sweep", _text, str, _NOT_DEFAULT),
+    ("aperture_multiplicity", "aperture_multiplicity", _listed(_int),
+     _listed_text(lambda m: str(int(m))), _NOT_DEFAULT),
+)]
+_SCHEMA_BY_KEY = {row.key: row for row in _SCHEMA}
+_DEFAULTS = {f.name: f.default for f in fields(FilterConfig)}
 
 
 def parse_config_text(text: str) -> FilterConfig:
@@ -107,55 +163,21 @@ def parse_config_text(text: str) -> FilterConfig:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = val
 
-    kwargs = {}
-    for key, unit in _FLOAT_KEYS.items():
-        if key in values:
-            kwargs[key] = _num(key, values.pop(key), unit)
-    for key in _INT_KEYS:
-        if key in values:
-            kwargs[key] = _int(key, values.pop(key))
-    if "r_filter" in values:
-        kwargs["r_filter"] = _parse_float_list("r_filter", values.pop("r_filter"), "m")
-    for key in ("inlet_window", "outlet_window"):
-        if key in values:
-            kwargs[key] = _parse_window(key, values.pop(key))
-    if "dt" in values:
-        val = values.pop("dt")
-        kwargs["dt"] = "adaptive" if val.lower() == "adaptive" else _num("dt", val, "s")
-    if "time_limit" in values:
-        val = values.pop("time_limit")
-        kwargs["time_limit"] = None if val.lower() == "none" else _num("time_limit", val, "s")
-    if "blocking_law" in values:
-        val = values.pop("blocking_law")
-        if val not in ("simple", "corrected"):
-            raise ValueError(f"config key 'blocking_law' expects simple or corrected, got {val!r}")
-        kwargs["blocking_law"] = val
-    if "solver_sweep" in values:
-        kwargs["solver_sweep"] = values.pop("solver_sweep")
-    if "aperture_multiplicity" in values:
-        val = values.pop("aperture_multiplicity")
-        parts = [_int("aperture_multiplicity", p.strip()) for p in val.split(",")]
-        kwargs["aperture_multiplicity"] = parts[0] if len(parts) == 1 else tuple(parts)
-
-    chem_vals = {}
-    for key, (field_name, unit) in _CHEM_KEYS.items():
-        if key in values:
-            raw_val = values.pop(key)
-            if field_name in ("reaction_order", "sediment_stoichiometry"):
-                chem_vals[field_name] = _int(key, raw_val)
-            else:
-                chem_vals[field_name] = _num(key, raw_val, unit)
+    kwargs, chem_vals = {}, {}
+    for row in _SCHEMA:
+        if row.key in values:
+            target = chem_vals if row.chemical else kwargs
+            target[row.field] = row.parse(row.key, values.pop(row.key))
     if chem_vals:
-        missing = [k for k, (f, _) in _CHEM_KEYS.items() if f not in chem_vals]
+        missing = [row.key for row in _SCHEMA if row.chemical and row.field not in chem_vals]
         if missing:
             raise ValueError(f"incomplete chemistry block, missing {', '.join(sorted(missing))}")
         kwargs["chemistry"] = Chemistry(**chem_vals)
 
     if values:
         raise ValueError(f"unknown config keys: {', '.join(sorted(values))}")
-    missing = [k for k in ("L_x", "L_y", "L_z", "n_x", "n_y", "n_z", "p_grad", "mu",
-                           "l_particle", "N_particles", "r_filter", "r_side")
-               if k not in kwargs]
+    missing = [name for name, default in _DEFAULTS.items()
+               if default is MISSING and name not in kwargs]
     if missing:
         raise ValueError(f"missing required config keys: {', '.join(missing)}")
     config = FilterConfig(**kwargs)
@@ -167,62 +189,18 @@ def parse_config(path: str | Path) -> FilterConfig:
     return parse_config_text(Path(path).read_text())
 
 
-def _format_window(window) -> str:
-    if window is None:
-        return "full"
-    (x_lo, x_hi), (y_lo, y_hi) = window
-    return f"{x_lo}..{x_hi}, {y_lo}..{y_hi}"
-
-
 def format_config(config: FilterConfig) -> str:
     """Echo a config as parseable text; floats via repr, so round trips are exact."""
     lines = ["# clogsim filter configuration"]
-    for key in ("L_x", "L_y", "L_z"):
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    for key in ("n_x", "n_y", "n_z"):
-        lines.append(f"{key} = {getattr(config, key)}")
-    lines.append(f"p_grad = {config.p_grad!r}")
-    lines.append(f"mu = {config.mu!r}")
-    lines.append(f"l_particle = {config.l_particle!r}")
-    lines.append(f"N_particles = {config.N_particles!r}")
-    if np.isscalar(config.r_filter):
-        lines.append(f"r_filter = {float(config.r_filter)!r}")
-    else:
-        lines.append("r_filter = " + ", ".join(repr(float(r)) for r in config.r_filter))
-    lines.append(f"r_side = {config.r_side!r}")
-    lines.append(f"inlet_window = {_format_window(config.inlet_window)}")
-    lines.append(f"outlet_window = {_format_window(config.outlet_window)}")
-    if config.chemistry is not None:
-        chem = config.chemistry
-        lines.append(f"chemistry.K = {chem.rate_constant!r}")
-        lines.append(f"chemistry.n = {chem.reaction_order}")
-        lines.append(f"chemistry.D = {chem.diffusivity!r}")
-        lines.append(f"chemistry.mu2 = {chem.sediment_molar_mass!r}")
-        lines.append(f"chemistry.n2 = {chem.sediment_stoichiometry}")
-        lines.append(f"chemistry.rho2 = {chem.sediment_density!r}")
-        lines.append(f"chemistry.mu0 = {chem.solute_molar_mass!r}")
-        lines.append(f"c0_entrance = {config.c0_entrance!r}")
-    dt = config.dt
-    lines.append(f"dt = {'adaptive' if isinstance(dt, str) else repr(float(dt))}")
-    limit = config.time_limit
-    lines.append(f"time_limit = {'none' if limit is None else repr(float(limit))}")
-    lines.append(f"blocking_law = {config.blocking_law}")
-    lines.append(f"seed = {config.seed}")
-    lines.append(f"flow_stop_fraction = {config.flow_stop_fraction!r}")
-    lines.append(f"seal_fraction = {config.seal_fraction!r}")
-    lines.append(f"depletion_threshold = {config.depletion_threshold!r}")
-    if config.solver_tol is not None:
-        lines.append(f"solver_tol = {config.solver_tol!r}")
-    if config.solver_max_iter != 100_000:
-        lines.append(f"solver_max_iter = {config.solver_max_iter}")
-    if config.solver_sweep != "cg":
-        lines.append(f"solver_sweep = {config.solver_sweep}")
-    if config.aperture_multiplicity is not None:
-        mult = config.aperture_multiplicity
-        if np.isscalar(mult):
-            lines.append(f"aperture_multiplicity = {int(mult)}")
-        else:
-            lines.append("aperture_multiplicity = " + ", ".join(str(int(m)) for m in mult))
+    for row in _SCHEMA:
+        if row.echo == _WITH_CHEMISTRY and config.chemistry is None:
+            continue
+        value = getattr(config.chemistry if row.chemical else config, row.field)
+        if row.echo == _NOT_DEFAULT:
+            default = _DEFAULTS[row.field]
+            if value is None if default is None else value == default:
+                continue
+        lines.append(f"{row.key} = {row.format(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -250,13 +228,11 @@ def _membrane_maps_text(grid) -> str:
 
 def _membrane_maps_csv(grid) -> str:
     lines = ["membrane,i,j,state,initial_radius_m,radius_m,open_count"]
-    for k in range(grid.n_membranes):
-        for j in range(grid.n_y):
-            for i in range(grid.n_x):
-                lines.append(
-                    f"{k + 1},{i + 1},{j + 1},{_STATE_NAMES[int(grid.z_state[i, j, k])]},"
-                    f"{float(grid.z_radius0[i, j, k])!r},{float(grid.z_radius[i, j, k])!r},"
-                    f"{int(grid.z_open_count[i, j, k])}")
+    for k, j, i in itertools.product(range(grid.n_membranes), range(grid.n_y), range(grid.n_x)):
+        lines.append(
+            f"{k + 1},{i + 1},{j + 1},{_STATE_NAMES[int(grid.z_state[i, j, k])]},"
+            f"{float(grid.z_radius0[i, j, k])!r},{float(grid.z_radius[i, j, k])!r},"
+            f"{int(grid.z_open_count[i, j, k])}")
     return "\n".join(lines) + "\n"
 
 
@@ -324,14 +300,10 @@ def _parse_seed_spec(spec: str) -> list[int]:
 
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
-    if args.time_limit is not None:
-        config = replace(config, time_limit=None if args.time_limit.lower() == "none"
-                         else _num("time_limit", args.time_limit, "s"))
-    if args.dt is not None:
-        config = replace(config, dt="adaptive" if args.dt.lower() == "adaptive"
-                         else _num("dt", args.dt, "s"))
-    if args.blocking_law is not None:
-        config = replace(config, blocking_law=args.blocking_law)
+    for key in ("time_limit", "dt", "blocking_law"):
+        text = getattr(args, key)
+        if text is not None:
+            config = replace(config, **{key: _SCHEMA_BY_KEY[key].parse(key, text)})
     if args.no_chemistry:
         config = replace(config, chemistry=None)
     seeds = _parse_seed_spec(args.seed) if args.seed is not None else [config.seed]
@@ -339,7 +311,6 @@ def _cmd_simulate(args) -> int:
     degenerate = False
     for seed in seeds:
         run_config = replace(config, seed=seed)
-        run_config.validate()
         trace = run(run_config)
         out_dir = out_base if len(seeds) == 1 else out_base / f"seed_{seed}"
         write_run_artifacts(run_config, trace, out_dir)
@@ -473,12 +444,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CalibrationInfeasibleError as exc:
+    except (ValueError, OSError) as exc:   # CalibrationInfeasibleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CalibrationInfeasibleError) else 1
 
 
 if __name__ == "__main__":

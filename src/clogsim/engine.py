@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ApertureState, CellGrid, FilterConfig, build_grid
+from .model import _FACET_FAMILIES, ApertureState, CellGrid, FilterConfig, build_grid
 from .hydraulics import (DegenerateNetworkError, FlowField, flows_from_pressures,
                          reference_cell_flow, solve_pressures, total_flow)
 from .sediment import axial_depletion, growth_rate, wall_concentration_profile
@@ -118,6 +118,10 @@ def layer_concentrations(inlet_concentration: float, mean_pass: Sequence[float])
     return out
 
 
+# per-membrane count groups of a snapshot, in trace.csv column order
+_COUNT_GROUPS = ("open", "blocked", "sealed", "catches")
+
+
 @dataclass(frozen=True)
 class TraceSnapshot:
     time: float              # s, state time at the start of the step
@@ -138,15 +142,12 @@ class SimulationTrace:
     final_grid: CellGrid | None = None
 
     def to_csv(self) -> str:
-        m = self.n_membranes
         cols = ["time_s", "dt_s", "total_flow_m3_s", "depletion_warning"]
-        for prefix in ("open", "blocked", "sealed", "catches"):
-            cols += [f"{prefix}_m{k + 1}" for k in range(m)]
+        cols += [f"{group}_m{k + 1}" for group in _COUNT_GROUPS for k in range(self.n_membranes)]
         lines = [",".join(cols)]
         for s in self.snapshots:
             row = [repr(s.time), repr(s.dt), repr(s.total_flow), str(int(s.depletion_warning))]
-            for group in (s.open, s.blocked, s.sealed, s.catches):
-                row += [str(v) for v in group]
+            row += [str(v) for group in _COUNT_GROUPS for v in getattr(s, group)]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -156,12 +157,7 @@ class SimulationTrace:
 
     def final_counts(self) -> dict[str, int]:
         last = self.snapshots[-1]
-        return {
-            "open": sum(last.open),
-            "blocked": sum(last.blocked),
-            "sealed": sum(last.sealed),
-            "catches": sum(last.catches),
-        }
+        return {group: sum(getattr(last, group)) for group in _COUNT_GROUPS}
 
 
 @dataclass(eq=False)
@@ -187,10 +183,6 @@ class SimulationState:
     wall_cache: dict = field(default_factory=dict)
 
     @property
-    def p_in(self) -> float:
-        return 0.0
-
-    @property
     def p_out(self) -> float:
         return self.config.p_grad * self.config.L_z
 
@@ -213,7 +205,6 @@ def _mean_pass(grid: CellGrid, rod_length: float) -> np.ndarray:
 
 
 def initialize(config: FilterConfig) -> SimulationState:
-    config.validate()
     grid = build_grid(config)
     p_out = config.p_grad * config.L_z
     tol = config.solver_tol if config.solver_tol is not None \
@@ -242,32 +233,28 @@ def _aperture_kinetics(state: SimulationState, flows: FlowField):
     grid = state.grid
     c0 = state.config.c0_entrance
     out = {}
-    families = (
-        ("z", grid.z_state, grid.z_radius, flows.flow_z, grid.z_open_count),
-        ("x", grid.x_state, grid.x_radius, flows.flow_x, None),
-        ("y", grid.y_state, grid.y_radius, flows.flow_y, None),
-    )
-    for name, st, radius, flow, counts in families:
-        open_mask = st == ApertureState.OPEN
-        if counts is not None:
-            open_mask = open_mask & (counts > 0)
+    flow_by_axis = (flows.flow_x, flows.flow_y, flows.flow_z)
+    for fam in _FACET_FAMILIES:
+        _, radius, _, counts = fam.arrays(grid)
+        flow = flow_by_axis[fam.axis]
+        open_mask = fam.open_mask(grid)
         rate = np.zeros_like(radius)
         v0 = np.zeros_like(radius)
         if chem is not None and np.any(open_mask):
             r = radius[open_mask]
             f = np.abs(flow[open_mask])
-            if counts is not None:
+            if fam.filtering:
                 f = f / counts[open_mask]
             speed = 2.0 * f / (np.pi * r * r)
-            cached = state.wall_cache.get(name)
+            cached = state.wall_cache.get(fam.name)
             guess = cached[open_mask] if cached is not None else None
             c1 = wall_concentration_profile(chem, r, c0, speed, guess=guess)
             rate[open_mask] = growth_rate(chem, c1)
             v0[open_mask] = speed
             store = np.zeros_like(radius)
             store[open_mask] = c1
-            state.wall_cache[name] = store
-        out[name] = (open_mask, rate, v0)
+            state.wall_cache[fam.name] = store
+        out[fam.name] = (open_mask, rate, v0)
     return out
 
 
@@ -299,9 +286,9 @@ def _adaptive_dt(state: SimulationState, prep, kinetics) -> float:
         if live.any():
             caps.append(_BLOCK_FRACTION * float((wt[live] / hazard[live]).min()))
     if state.config.chemistry is not None:
-        grid = state.grid
-        for name, (open_mask, rate, _) in kinetics.items():
-            radius = getattr(grid, f"{name}_radius")
+        for fam in _FACET_FAMILIES:
+            open_mask, rate, _ = kinetics[fam.name]
+            _, radius, _, _ = fam.arrays(state.grid)
             busy = open_mask & (rate > 0)
             if np.any(busy):
                 caps.append(_SHRINK_FRACTION * float(np.min(radius[busy] / rate[busy])))
@@ -309,15 +296,9 @@ def _adaptive_dt(state: SimulationState, prep, kinetics) -> float:
 
 
 def _record(state: SimulationState, dt: float, total: float, warning: bool) -> None:
-    open_, blocked, sealed = state.grid.membrane_state_counts()
+    counts = (*state.grid.membrane_state_counts(), state.catches)
     state.trace.append(TraceSnapshot(
-        time=state.time, dt=dt, total_flow=total,
-        open=tuple(int(v) for v in open_),
-        blocked=tuple(int(v) for v in blocked),
-        sealed=tuple(int(v) for v in sealed),
-        catches=tuple(int(v) for v in state.catches),
-        depletion_warning=warning,
-    ))
+        state.time, dt, total, *(tuple(int(v) for v in group) for group in counts), warning))
 
 
 def _depletion_warning(state: SimulationState, kinetics) -> bool:
@@ -354,14 +335,13 @@ def step(state: SimulationState, dt: float | None = None,
     if check and state.sides_intact:
         # with every lateral aperture open, each layer is one connected slab,
         # so the network splits only at a membrane with no open facet left
-        if np.logical_and(grid.z_state == ApertureState.OPEN,
-                          grid.z_open_count > 0).any(axis=(0, 1)).all():
+        if _open_weights(grid)[1].all():
             check = False
         else:
             raise DegenerateNetworkError(
                 "no open aperture path connects the inlet window to the outlet window")
     field_ = solve_pressures(
-        grid, state.p_in, state.p_out, tol=state.solver_tol,
+        grid, 0.0, state.p_out, tol=state.solver_tol,
         max_iter=cfg.solver_max_iter, initial=state.pressures,
         sweep=cfg.solver_sweep, check_connectivity=check)
     state.pressures = field_.pressure
@@ -422,10 +402,9 @@ def step(state: SimulationState, dt: float | None = None,
 
     # deposit growth on whatever is still open
     if chem is not None:
-        for name, (open_mask, rate, _) in kinetics.items():
-            st = getattr(grid, f"{name}_state")
-            radius = getattr(grid, f"{name}_radius")
-            radius0 = getattr(grid, f"{name}_radius0")
+        for fam in _FACET_FAMILIES:
+            open_mask, rate, _ = kinetics[fam.name]
+            radius0, radius, st, _ = fam.arrays(grid)
             still_open = open_mask & (st == ApertureState.OPEN)
             if not np.any(still_open):
                 continue
@@ -434,7 +413,7 @@ def step(state: SimulationState, dt: float | None = None,
             if np.any(sealing):
                 st[sealing] = ApertureState.SEDIMENT_SEALED
                 state.topology_dirty = True
-                if name != "z":
+                if not fam.filtering:
                     state.sides_intact = False
 
     state.layer_concentration = layer_concentrations(
@@ -447,7 +426,6 @@ def step(state: SimulationState, dt: float | None = None,
 
 def run(config: FilterConfig, *, max_steps: int = 1_000_000) -> SimulationTrace:
     """Simulate until the filter stops, disconnects, or hits the time limit."""
-    config.validate()
     state = initialize(config)
     reason = None
     threshold = None
@@ -467,7 +445,7 @@ def run(config: FilterConfig, *, max_steps: int = 1_000_000) -> SimulationTrace:
         if config.time_limit is not None and state.time >= config.time_limit * (1 - 1e-12):
             try:
                 field_ = solve_pressures(
-                    state.grid, state.p_in, state.p_out, tol=state.solver_tol,
+                    state.grid, 0.0, state.p_out, tol=state.solver_tol,
                     max_iter=config.solver_max_iter, initial=state.pressures,
                     sweep=config.solver_sweep, check_connectivity=True)
                 flow_now = total_flow(state.grid, flows_from_pressures(state.grid, field_))

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ApertureState, CellGrid
+from .model import _FACET_FAMILIES, ApertureState, CellGrid
+
+# facet families in axis order: every sum over axes runs x, y, z
+_AXIS_FAMILIES = sorted(_FACET_FAMILIES, key=lambda fam: fam.axis)
+# per axis, the slices selecting the lower and the upper cell of every facet
+_SIDES = tuple(
+    tuple(tuple(side if a == axis else slice(None) for a in range(3))
+          for side in (slice(None, -1), slice(1, None)))
+    for axis in range(3))
 
 
 class DegenerateNetworkError(RuntimeError):
@@ -68,20 +76,19 @@ def conductance_arrays(grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     Closed facets get zero.  Filtering facets multiply the single-aperture
     area by the number of sub-apertures still open.
     """
-    hx, hy, hz, mu = grid.h_x, grid.h_y, grid.h_z, grid.mu
-
-    def coeff(section_a: float, section_b: float, dist: float) -> float:
+    h = (grid.h_x, grid.h_y, grid.h_z)
+    out = []
+    for fam in _AXIS_FAMILIES:
+        section_a, section_b = (h[a] for a in range(3) if a != fam.axis)
         area = section_a * section_b
         perim = 2.0 * (section_a + section_b)
-        return 0.8 * area ** 2 / (perim ** 2 * mu * dist)
-
-    gx = coeff(hy, hz, hx) * math.pi * grid.x_radius ** 2
-    gx = np.where(grid.x_state == ApertureState.OPEN, gx, 0.0)
-    gy = coeff(hx, hz, hy) * math.pi * grid.y_radius ** 2
-    gy = np.where(grid.y_state == ApertureState.OPEN, gy, 0.0)
-    gz = coeff(hx, hy, hz) * math.pi * grid.z_radius ** 2 * grid.z_open_count
-    gz = np.where(grid.z_state == ApertureState.OPEN, gz, 0.0)
-    return gx, gy, gz
+        coeff = 0.8 * area ** 2 / (perim ** 2 * grid.mu * h[fam.axis])
+        _, radius, state, open_count = fam.arrays(grid)
+        g = np.where(state == ApertureState.OPEN, coeff * math.pi * radius ** 2, 0.0)
+        if fam.filtering:
+            g *= open_count
+        out.append(g)
+    return tuple(out)
 
 
 def reference_cell_flow(grid: CellGrid, p_in: float, p_out: float) -> float:
@@ -97,26 +104,16 @@ def reference_cell_flow(grid: CellGrid, p_in: float, p_out: float) -> float:
     return 0.8 * gradient * area ** 2 * math.pi * mean_r2 / (perim ** 2 * grid.mu)
 
 
-def _open_masks(grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    open_x = grid.x_state == ApertureState.OPEN
-    open_y = grid.y_state == ApertureState.OPEN
-    open_z = (grid.z_state == ApertureState.OPEN) & (grid.z_open_count > 0)
-    return open_x, open_y, open_z
-
-
 def check_connected(grid: CellGrid) -> None:
     """Raise DegenerateNetworkError unless an open path joins inlet to outlet."""
-    open_x, open_y, open_z = _open_masks(grid)
+    masks = [fam.open_mask(grid) for fam in _AXIS_FAMILIES]
     reached = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
     reached[:, :, 0] = grid.inlet_mask
     while True:
         nxt = reached.copy()
-        nxt[1:, :, :] |= reached[:-1, :, :] & open_x
-        nxt[:-1, :, :] |= reached[1:, :, :] & open_x
-        nxt[:, 1:, :] |= reached[:, :-1, :] & open_y
-        nxt[:, :-1, :] |= reached[:, 1:, :] & open_y
-        nxt[:, :, 1:] |= reached[:, :, :-1] & open_z
-        nxt[:, :, :-1] |= reached[:, :, 1:] & open_z
+        for open_, (lo, hi) in zip(masks, _SIDES):
+            nxt[hi] |= reached[lo] & open_
+            nxt[lo] |= reached[hi] & open_
         if np.array_equal(nxt, reached):
             break
         reached = nxt
@@ -125,28 +122,38 @@ def check_connected(grid: CellGrid) -> None:
             "no open aperture path connects the inlet window to the outlet window")
 
 
-def _neighbor_sums(p, gx, gy, gz, out, scratch=None):
+def _stencil(g):
+    """Flat conductances for ``_neighbor_sums``: per axis (x, y, z) its
+    stride in the flat cell array, the conductance from each flat index to
+    the one a stride up (zero off the lattice) and a shared scratch view.
+    """
+    shape = (g[0].shape[0] + 1,) + g[0].shape[1:]
+    strides = (shape[1] * shape[2], shape[2], 1)
+    scratch = np.empty(math.prod(shape))
+    terms = []
+    for ga, s, (lo, _) in zip(g, strides, _SIDES):
+        full = np.zeros(shape)
+        full[lo] = ga
+        up = full.reshape(-1)[:-s]
+        terms.append((s, up, scratch[:up.size]))
+    return tuple(terms)
+
+
+def _neighbor_sums(p, stencil, out):
     """Sum of conductance-weighted neighbor pressures into ``out``.
 
-    ``scratch`` (three facet-shaped buffers) makes the kernel allocation
-    free; the solvers pass it, one-off callers may omit it.
+    ``p`` and ``out`` are C-contiguous; on their flat views every operation
+    is contiguous and allocation free.  Each cell adds its terms in the
+    order x up, x down, y up, y down, z up, z down; the extra terms at
+    lattice edges are exact zeros.
     """
-    out.fill(0.0)
-    if scratch is None:
-        scratch = (np.empty_like(gx), np.empty_like(gy), np.empty_like(gz))
-    tx, ty, tz = scratch
-    np.multiply(gx, p[1:, :, :], out=tx)
-    out[:-1, :, :] += tx
-    np.multiply(gx, p[:-1, :, :], out=tx)
-    out[1:, :, :] += tx
-    np.multiply(gy, p[:, 1:, :], out=ty)
-    out[:, :-1, :] += ty
-    np.multiply(gy, p[:, :-1, :], out=ty)
-    out[:, 1:, :] += ty
-    np.multiply(gz, p[:, :, 1:], out=tz)
-    out[:, :, :-1] += tz
-    np.multiply(gz, p[:, :, :-1], out=tz)
-    out[:, :, 1:] += tz
+    flat_p, flat_out = p.reshape(-1), out.reshape(-1)
+    flat_out.fill(0.0)
+    for s, up, t in stencil:
+        np.multiply(up, flat_p[s:], out=t)
+        flat_out[:-s] += t
+        np.multiply(up, flat_p[:-s], out=t)
+        flat_out[s:] += t
     return out
 
 
@@ -164,17 +171,17 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
                     tol: float | None = None, max_iter: int = 100_000, *,
                     initial: np.ndarray | None = None,
                     relaxation: float | None = None,
-                    sweep: str = "redblack",
+                    sweep: str = "cg",
                     check_connectivity: bool = True) -> PressureField:
     """Relax the cell pressures until every inner cell conserves flow.
 
     ``tol`` is an absolute bound on the per-cell net flow [m^3/s]; default is
     1e-6 times the clean-filter reference cell flow.  ``initial`` warm-starts
-    the iteration (a linear ramp otherwise).  ``sweep`` selects "redblack"
-    (relaxation, vectorised, default), "lexicographic" (reference ordering,
-    small grids), or "cg" (conjugate gradient on the same system; fastest,
-    used by the simulation engine).  All three converge to the same field
-    and honour the same residual bound.
+    the iteration (a linear ramp otherwise).  ``sweep`` selects "cg"
+    (conjugate gradient; fastest, the default and the FilterConfig default),
+    "redblack" (over-relaxation with factor ``relaxation``, vectorised) or
+    "lexicographic" (reference ordering, small grids).  All three converge
+    to the same field and honour the same residual bound.
     """
     if check_connectivity:
         check_connected(grid)
@@ -182,9 +189,11 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
         tol = 1e-6 * reference_cell_flow(grid, p_in, p_out)
     if not tol > 0:
         raise ValueError(f"tol must be positive (m^3/s), got {tol!r}")
+    if relaxation is not None and not 0 < relaxation < 2:
+        raise ValueError(f"relaxation must lie in (0, 2), got {relaxation!r}")
 
     n_x, n_y, n_z = grid.n_x, grid.n_y, grid.n_z
-    gx, gy, gz = conductance_arrays(grid)
+    g = conductance_arrays(grid)
 
     if initial is not None:
         p = np.array(initial, dtype=float, copy=True)
@@ -200,43 +209,33 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     p[:, :, 0][grid.inlet_mask] = p_in
     p[:, :, -1][grid.outlet_mask] = p_out
 
-    den = np.zeros((n_x, n_y, n_z))
-    den[:-1, :, :] += gx
-    den[1:, :, :] += gx
-    den[:, :-1, :] += gy
-    den[:, 1:, :] += gy
-    den[:, :, :-1] += gz
-    den[:, :, 1:] += gz
+    stencil = _stencil(g)
+    den = _neighbor_sums(np.ones_like(p), stencil, np.empty_like(p))
     active = ~fixed & (den > 0)
     safe_den = np.where(den > 0, den, 1.0)
 
     work = np.empty_like(p)
 
     if sweep == "lexicographic":
-        return _solve_lexicographic(grid, p, gx, gy, gz, den, active, fixed, tol, max_iter)
+        return _solve_lexicographic(p, stencil, den, active, tol, max_iter)
     if sweep == "cg":
-        return _solve_cg(p, gx, gy, gz, den, active, fixed, tol, max_iter)
+        return _solve_cg(p, g, stencil, den, active, fixed, tol, max_iter)
     if sweep != "redblack":
         raise ValueError(
             f"sweep must be 'redblack', 'lexicographic' or 'cg', got {sweep!r}")
 
     omega = default_relaxation(grid) if relaxation is None else float(relaxation)
-    if not 0 < omega < 2:
-        raise ValueError(f"relaxation must lie in (0, 2), got {omega!r}")
-
-    ix, iy, iz = np.indices((n_x, n_y, n_z), sparse=True)
-    parity = (ix + iy + iz) % 2 == 0
+    parity = sum(np.indices((n_x, n_y, n_z), sparse=True)) % 2 == 0
     red = active & parity
     black = active & ~parity
 
-    scratch = (np.empty_like(gx), np.empty_like(gy), np.empty_like(gz))
     check_every = 4
     for it in range(1, max_iter + 1):
         for color in (red, black):
-            s = _neighbor_sums(p, gx, gy, gz, work, scratch)
+            s = _neighbor_sums(p, stencil, work)
             p = np.where(color, (1.0 - omega) * p + omega * s / safe_den, p)
         if it % check_every == 0 or it == max_iter:
-            s = _neighbor_sums(p, gx, gy, gz, work, scratch)
+            s = _neighbor_sums(p, stencil, work)
             residual = float(np.max(np.abs(np.where(active, s - den * p, 0.0)))) \
                 if np.any(active) else 0.0
             if residual <= tol:
@@ -246,7 +245,7 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
         f"after {max_iter} sweeps")
 
 
-def _layer_coarse_matrix(gx, gy, gz, den, active):
+def _layer_coarse_matrix(g, den, active):
     """Project the pressure system onto per-layer constants.
 
     Returns (E, keep): the coarse operator over layers that hold active
@@ -256,9 +255,8 @@ def _layer_coarse_matrix(gx, gy, gz, den, active):
     """
     act = active.astype(float)
     den_act = (den * act).sum(axis=(0, 1))
-    gx_intra = (gx * act[:-1, :, :] * act[1:, :, :]).sum(axis=(0, 1))
-    gy_intra = (gy * act[:, :-1, :] * act[:, 1:, :]).sum(axis=(0, 1))
-    gz_cross = (gz * act[:, :, :-1] * act[:, :, 1:]).sum(axis=(0, 1))
+    gx_intra, gy_intra, gz_cross = ((ga * act[lo] * act[hi]).sum(axis=(0, 1))
+                                    for ga, (lo, hi) in zip(g, _SIDES))
     diag = den_act - 2.0 * (gx_intra + gy_intra)
     keep = np.flatnonzero(den_act > 0)
     if keep.size == 0:
@@ -272,7 +270,7 @@ def _layer_coarse_matrix(gx, gy, gz, den, active):
     return full[np.ix_(keep, keep)], keep
 
 
-def _solve_cg(p, gx, gy, gz, den, active, fixed, tol, max_iter):
+def _solve_cg(p, g, stencil, den, active, fixed, tol, max_iter):
     """Preconditioned conjugate gradient on the pressure system.
 
     The preconditioner combines the inverse diagonal with a coarse solve
@@ -284,22 +282,22 @@ def _solve_cg(p, gx, gy, gz, den, active, fixed, tol, max_iter):
     converged field leaves them untouched.
     """
     work = np.empty_like(p)
-    scratch = (np.empty_like(gx), np.empty_like(gy), np.empty_like(gz))
     act_f = active.astype(float)
+    idle = np.flatnonzero(~active)
     n_layers = den.shape[2]
     safe_den = np.where(den > 0, den, 1.0)
     x = np.where(active, p, 0.0)
     p_fixed = np.where(fixed, p, 0.0)
-    b = np.where(active, _neighbor_sums(p_fixed, gx, gy, gz, work, scratch), 0.0)
+    b = np.where(active, _neighbor_sums(p_fixed, stencil, work), 0.0)
 
     def apply(v, out):
-        _neighbor_sums(v, gx, gy, gz, work, scratch)
+        _neighbor_sums(v, stencil, work)
         np.multiply(den, v, out=out)
         out -= work
         out *= act_f
         return out
 
-    coarse, keep = _layer_coarse_matrix(gx, gy, gz, den, active)
+    coarse, keep = _layer_coarse_matrix(g, den, active)
     coarse_inv = None
     if coarse is not None:
         try:
@@ -309,15 +307,15 @@ def _solve_cg(p, gx, gy, gz, den, active, fixed, tol, max_iter):
             coarse_inv = None            # odd topology; diagonal level only
 
     def precondition(r, out):
-        # r is zero off the active cells and safe_den is 1 there, so the
-        # diagonal term needs no mask; the coarse correction does
+        # r is +0.0 off the active cells, so is r / safe_den; resetting them
+        # after the coarse correction equals adding it masked
         np.divide(r, safe_den, out=out)
         if coarse_inv is not None:
             r_layer = r.sum(axis=(0, 1))[keep]
             c = np.zeros(n_layers)
             c[keep] = coarse_inv @ r_layer
-            np.multiply(act_f, c[np.newaxis, np.newaxis, :], out=work)
-            out += work
+            out += c
+            out.reshape(-1)[idle] = 0.0
         return out
 
     def max_abs(v):
@@ -356,31 +354,20 @@ def _solve_cg(p, gx, gy, gz, den, active, fixed, tol, max_iter):
         f"after {max_iter} iterations")
 
 
-def _solve_lexicographic(grid, p, gx, gy, gz, den, active, fixed, tol, max_iter):
+def _solve_lexicographic(p, stencil, den, active, tol, max_iter):
     """Plain Gauss-Seidel in index order.  Reference path for small grids."""
-    n_x, n_y, n_z = grid.n_x, grid.n_y, grid.n_z
+    flat_p, flat_den = p.reshape(-1), den.reshape(-1)
     work = np.empty_like(p)
     for it in range(1, max_iter + 1):
-        for i in range(n_x):
-            for j in range(n_y):
-                for k in range(n_z):
-                    if not active[i, j, k]:
-                        continue
-                    acc = 0.0
-                    if i > 0:
-                        acc += gx[i - 1, j, k] * p[i - 1, j, k]
-                    if i < n_x - 1:
-                        acc += gx[i, j, k] * p[i + 1, j, k]
-                    if j > 0:
-                        acc += gy[i, j - 1, k] * p[i, j - 1, k]
-                    if j < n_y - 1:
-                        acc += gy[i, j, k] * p[i, j + 1, k]
-                    if k > 0:
-                        acc += gz[i, j, k - 1] * p[i, j, k - 1]
-                    if k < n_z - 1:
-                        acc += gz[i, j, k] * p[i, j, k + 1]
-                    p[i, j, k] = acc / den[i, j, k]
-        s = _neighbor_sums(p, gx, gy, gz, work)
+        for c in np.flatnonzero(active):
+            acc = 0.0
+            for stride, up, _ in stencil:    # lower, then upper neighbour per axis
+                if c >= stride:
+                    acc += up[c - stride] * flat_p[c - stride]
+                if c < up.size:
+                    acc += up[c] * flat_p[c + stride]
+            flat_p[c] = acc / flat_den[c]
+        s = _neighbor_sums(p, stencil, work)
         residual = float(np.max(np.abs(np.where(active, s - den * p, 0.0)))) \
             if np.any(active) else 0.0
         if residual <= tol:
@@ -392,24 +379,17 @@ def _solve_lexicographic(grid, p, gx, gy, gz, den, active, fixed, tol, max_iter)
 
 def flows_from_pressures(grid: CellGrid, field: PressureField) -> FlowField:
     """Signed per-aperture flows from a converged pressure field."""
-    gx, gy, gz = conductance_arrays(grid)
     p = field.pressure
-    return FlowField(
-        flow_x=gx * (p[:-1, :, :] - p[1:, :, :]),
-        flow_y=gy * (p[:, :-1, :] - p[:, 1:, :]),
-        flow_z=gz * (p[:, :, :-1] - p[:, :, 1:]),
-    )
+    return FlowField(*(ga * (p[lo] - p[hi])
+                       for ga, (lo, hi) in zip(conductance_arrays(grid), _SIDES)))
 
 
 def cell_net_outflow(flows: FlowField, n_x: int, n_y: int, n_z: int) -> np.ndarray:
     """Net signed outflow of every cell, m^3/s (zero for converged inner cells)."""
     net = np.zeros((n_x, n_y, n_z))
-    net[:-1, :, :] += flows.flow_x
-    net[1:, :, :] -= flows.flow_x
-    net[:, :-1, :] += flows.flow_y
-    net[:, 1:, :] -= flows.flow_y
-    net[:, :, :-1] += flows.flow_z
-    net[:, :, 1:] -= flows.flow_z
+    for flow, (lo, hi) in zip((flows.flow_x, flows.flow_y, flows.flow_z), _SIDES):
+        net[lo] += flow
+        net[hi] -= flow
     return net
 
 
@@ -429,8 +409,6 @@ def pressure_csv(grid: CellGrid, field: PressureField) -> str:
     """Cell pressures as CSV text with 1-based indices."""
     lines = ["x,y,z,pressure_pa"]
     p = field.pressure
-    for i in range(grid.n_x):
-        for j in range(grid.n_y):
-            for k in range(grid.n_z):
-                lines.append(f"{i + 1},{j + 1},{k + 1},{float(p[i, j, k])!r}")
+    for i, j, k in np.ndindex(p.shape):
+        lines.append(f"{i + 1},{j + 1},{k + 1},{float(p[i, j, k])!r}")
     return "\n".join(lines) + "\n"

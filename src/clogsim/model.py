@@ -16,7 +16,8 @@ current radius never exceeds the initial one and never goes negative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Sequence
 
@@ -32,6 +33,43 @@ class ApertureState(IntEnum):
     OPEN = 0
     PARTICLE_BLOCKED = 1
     SEDIMENT_SEALED = 2
+
+
+# per-facet arrays of a family, in JSON order, with their dtypes
+_FACET_FIELDS = {"radius0": float, "radius": float, "state": np.int8, "open_count": np.int64}
+
+
+@dataclass(frozen=True)
+class _FacetFamily:
+    """One family of parallel facets; CellGrid holds its arrays as ``<name>_<field>``."""
+
+    name: str         # "z", "x" or "y": attribute prefix and JSON key
+    axis: int         # lattice axis along which a facet joins its two cells
+    filtering: bool   # filtering facets alone carry open_count (sub-apertures not yet hit)
+
+    @property
+    def fields(self) -> dict[str, str]:
+        """JSON key -> CellGrid attribute, in JSON order."""
+        keys = list(_FACET_FIELDS)[:4 if self.filtering else 3]
+        return {key: f"{self.name}_{key}" for key in keys}
+
+    def arrays(self, grid: "CellGrid") -> tuple:
+        """(radius0, radius, state, open_count) of ``grid``; open_count None if not filtering."""
+        found = tuple(getattr(grid, attr) for attr in self.fields.values())
+        return found if self.filtering else (*found, None)
+
+    def open_mask(self, grid: "CellGrid") -> np.ndarray:
+        """Facets that pass liquid: open, and with a sub-aperture left if filtering."""
+        _, _, state, open_count = self.arrays(grid)
+        mask = state == ApertureState.OPEN
+        return mask & (open_count > 0) if self.filtering else mask
+
+
+# filtering facets first: the order of the JSON payload and of the engine's loops
+_FACET_FAMILIES = (_FacetFamily("z", 2, True), _FacetFamily("x", 0, False),
+                   _FacetFamily("y", 1, False))
+_ARRAY_FIELDS = ("inlet_mask", "outlet_mask", "membrane_multiplicity",
+                 *(attr for fam in _FACET_FAMILIES for attr in fam.fields.values()))
 
 
 @dataclass(frozen=True)
@@ -52,11 +90,10 @@ class Chemistry:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"chemistry.{name} must be positive, got {value!r}")
-        if self.reaction_order < 1:
-            raise ValueError(f"chemistry.reaction_order must be >= 1, got {self.reaction_order}")
-        if self.sediment_stoichiometry < 1:
-            raise ValueError(
-                f"chemistry.sediment_stoichiometry must be >= 1, got {self.sediment_stoichiometry}")
+        for name in ("reaction_order", "sediment_stoichiometry"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"chemistry.{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -109,45 +146,46 @@ class FilterConfig:
     def h_z(self) -> float:
         return self.L_z / self.n_z
 
+    def _per_membrane(self, value, dtype) -> np.ndarray:
+        values = np.atleast_1d(np.asarray(value, dtype=dtype))
+        return np.full(self.n_z - 1, values[0], dtype=dtype) if values.size == 1 else values
+
     def filter_radii(self) -> np.ndarray:
         """Per-membrane filtering radius, shape (n_z - 1,)."""
-        radii = np.atleast_1d(np.asarray(self.r_filter, dtype=float))
-        if radii.size == 1:
-            radii = np.full(self.n_z - 1, radii[0])
-        return radii
+        return self._per_membrane(self.r_filter, float)
 
     def multiplicities(self) -> np.ndarray:
         """Per-membrane aperture count per facet, shape (n_z - 1,)."""
-        if self.aperture_multiplicity is None:
-            return np.ones(self.n_z - 1, dtype=np.int64)
-        mult = np.atleast_1d(np.asarray(self.aperture_multiplicity, dtype=np.int64))
-        if mult.size == 1:
-            mult = np.full(self.n_z - 1, mult[0], dtype=np.int64)
-        return mult
+        mult = self.aperture_multiplicity
+        return self._per_membrane(1 if mult is None else mult, np.int64)
 
     def resolved_window(self, which: str) -> Window:
         win = self.inlet_window if which == "inlet" else self.outlet_window
         if win is None:
             return ((1, self.n_x), (1, self.n_y))
-        (x_lo, x_hi), (y_lo, y_hi) = win
-        return ((int(x_lo), int(x_hi)), (int(y_lo), int(y_hi)))
+        return tuple((int(lo), int(hi)) for lo, hi in win)
 
     def validate(self) -> None:
-        for name in ("L_x", "L_y", "L_z"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive (m), got {getattr(self, name)!r}")
+        for name in ("L_x", "L_y", "L_z", "mu", "p_grad", "l_particle", "N_particles"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name, unit in (("L_x", "m"), ("L_y", "m"), ("L_z", "m"), ("mu", "Pa s")):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive ({unit}), got {value!r}")
         for name in ("n_x", "n_y", "n_z"):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= 2):
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive (Pa s), got {self.mu!r}")
-        if self.p_grad == 0:
-            raise ValueError("p_grad must be nonzero (Pa/m); nothing would flow")
-        if self.l_particle < 0:
-            raise ValueError(f"l_particle must be >= 0 (m), got {self.l_particle!r}")
-        if self.N_particles < 0:
-            raise ValueError(f"N_particles must be >= 0 (m^-3), got {self.N_particles!r}")
+        if not self.p_grad < 0:
+            raise ValueError(
+                f"p_grad must be negative (Pa/m), so that liquid flows along +z, "
+                f"got {self.p_grad!r}")
+        for name, unit in (("l_particle", "m"), ("N_particles", "m^-3")):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0 ({unit}), got {value!r}")
 
         half_cell = min(self.h_x, self.h_y, self.h_z) / 2
         # tiny headroom so a radius set to exactly half a cell edge survives
@@ -158,7 +196,7 @@ class FilterConfig:
             raise ValueError(
                 f"r_filter must be one radius or n_z - 1 = {self.n_z - 1} values, "
                 f"got {radii.size}")
-        if np.any(radii <= 0) or np.any(radii > bound):
+        if not np.all((radii > 0) & (radii <= bound)):
             raise ValueError(
                 f"r_filter values must lie in (0, {half_cell!r}] m "
                 f"(half the smallest cell edge)")
@@ -166,42 +204,32 @@ class FilterConfig:
             raise ValueError(
                 f"r_side must lie in (0, {half_cell!r}] m, got {self.r_side!r}")
 
-        for which, n_cells in (("inlet", None), ("outlet", None)):
-            (x_lo, x_hi), (y_lo, y_hi) = self.resolved_window(which)
-            if not (1 <= x_lo <= x_hi <= self.n_x):
-                raise ValueError(
-                    f"{which}_window x range {x_lo}..{x_hi} outside 1..{self.n_x}")
-            if not (1 <= y_lo <= y_hi <= self.n_y):
-                raise ValueError(
-                    f"{which}_window y range {y_lo}..{y_hi} outside 1..{self.n_y}")
+        for which in ("inlet", "outlet"):
+            for axis, (lo, hi), n in zip("xy", self.resolved_window(which), (self.n_x, self.n_y)):
+                if not 1 <= lo <= hi <= n:
+                    raise ValueError(f"{which}_window {axis} range {lo}..{hi} outside 1..{n}")
 
         if self.chemistry is not None and not self.c0_entrance > 0:
             raise ValueError(
                 f"c0_entrance must be positive (m^-3) when chemistry is set, "
                 f"got {self.c0_entrance!r}")
-        if isinstance(self.dt, str):
-            if self.dt != "adaptive":
-                raise ValueError(f"dt must be a positive time in s or 'adaptive', got {self.dt!r}")
-        elif not self.dt > 0:
+        if not (self.dt == "adaptive" if isinstance(self.dt, str) else self.dt > 0):
             raise ValueError(f"dt must be a positive time in s or 'adaptive', got {self.dt!r}")
-        if self.blocking_law not in ("simple", "corrected"):
-            raise ValueError(
-                f"blocking_law must be 'simple' or 'corrected', got {self.blocking_law!r}")
-        if self.solver_tol is not None and not self.solver_tol > 0:
-            raise ValueError(f"solver_tol must be positive (m^3/s), got {self.solver_tol!r}")
+        for name, words in (("blocking_law", ("simple", "corrected")),
+                            ("solver_sweep", ("cg", "redblack", "lexicographic"))):
+            value = getattr(self, name)
+            if value not in words:
+                raise ValueError(f"{name} must be one of {', '.join(words)}; got {value!r}")
         if self.solver_max_iter < 1:
             raise ValueError(f"solver_max_iter must be >= 1, got {self.solver_max_iter!r}")
-        if self.solver_sweep not in ("cg", "redblack", "lexicographic"):
-            raise ValueError(
-                f"solver_sweep must be 'cg', 'redblack' or 'lexicographic', "
-                f"got {self.solver_sweep!r}")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError(f"time_limit must be positive (s), got {self.time_limit!r}")
-        if not 0 < self.flow_stop_fraction < 1:
-            raise ValueError(
-                f"flow_stop_fraction must lie in (0, 1), got {self.flow_stop_fraction!r}")
-        if not 0 < self.seal_fraction < 1:
-            raise ValueError(f"seal_fraction must lie in (0, 1), got {self.seal_fraction!r}")
+        for name, unit in (("solver_tol", "m^3/s"), ("time_limit", "s")):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive ({unit}), got {value!r}")
+        for name in ("flow_stop_fraction", "seal_fraction", "depletion_threshold"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
         mult = self.multiplicities()
         if mult.shape != (self.n_z - 1,) or np.any(mult < 1):
             raise ValueError(
@@ -274,31 +302,22 @@ class CellGrid:
 
     def membrane_state_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(open, particle_blocked, sediment_sealed) facet counts per membrane."""
-        open_ = (self.z_state == ApertureState.OPEN).sum(axis=(0, 1))
-        blocked = (self.z_state == ApertureState.PARTICLE_BLOCKED).sum(axis=(0, 1))
-        sealed = (self.z_state == ApertureState.SEDIMENT_SEALED).sum(axis=(0, 1))
-        return open_, blocked, sealed
+        return tuple((self.z_state == state).sum(axis=(0, 1)) for state in ApertureState)
 
     # --- element access ---------------------------------------------------
 
     def aperture(self, axis: str, i: int, j: int, k: int) -> Aperture:
-        if axis == "z":
-            mult = int(self.membrane_multiplicity[k])
-            return Aperture("z", (i, j, k), True,
-                            float(self.z_radius0[i, j, k]), float(self.z_radius[i, j, k]),
-                            ApertureState(int(self.z_state[i, j, k])), mult,
-                            int(self.z_open_count[i, j, k]))
-        if axis == "x":
-            return Aperture("x", (i, j, k), False,
-                            float(self.x_radius0[i, j, k]), float(self.x_radius[i, j, k]),
-                            ApertureState(int(self.x_state[i, j, k])), 1,
-                            int(self.x_state[i, j, k] == ApertureState.OPEN))
-        if axis == "y":
-            return Aperture("y", (i, j, k), False,
-                            float(self.y_radius0[i, j, k]), float(self.y_radius[i, j, k]),
-                            ApertureState(int(self.y_state[i, j, k])), 1,
-                            int(self.y_state[i, j, k] == ApertureState.OPEN))
-        raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+        fam = next((f for f in _FACET_FAMILIES if f.name == axis), None)
+        if fam is None:
+            raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
+        radius0, radius, state, open_count = fam.arrays(self)
+        at = (i, j, k)
+        if fam.filtering:
+            mult, count = int(self.membrane_multiplicity[k]), int(open_count[at])
+        else:
+            mult, count = 1, int(state[at] == ApertureState.OPEN)
+        return Aperture(axis, at, fam.filtering, float(radius0[at]), float(radius[at]),
+                        ApertureState(int(state[at])), mult, count)
 
     # --- serialization ----------------------------------------------------
 
@@ -310,77 +329,37 @@ class CellGrid:
             "inlet_mask": self.inlet_mask.astype(int).tolist(),
             "outlet_mask": self.outlet_mask.astype(int).tolist(),
             "membrane_multiplicity": self.membrane_multiplicity.tolist(),
-            "z": {
-                "radius0": self.z_radius0.tolist(),
-                "radius": self.z_radius.tolist(),
-                "state": self.z_state.tolist(),
-                "open_count": self.z_open_count.tolist(),
-            },
-            "x": {
-                "radius0": self.x_radius0.tolist(),
-                "radius": self.x_radius.tolist(),
-                "state": self.x_state.tolist(),
-            },
-            "y": {
-                "radius0": self.y_radius0.tolist(),
-                "radius": self.y_radius.tolist(),
-                "state": self.y_state.tolist(),
-            },
         }
+        for fam in _FACET_FAMILIES:
+            payload[fam.name] = {key: getattr(self, attr).tolist()
+                                 for key, attr in fam.fields.items()}
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "CellGrid":
         data = json.loads(text)
         n_x, n_y, n_z = data["shape"]
+        h_x, h_y, h_z = data["cell_size"]
+        arrays = {attr: np.asarray(data[fam.name][key], dtype=_FACET_FIELDS[key])
+                  for fam in _FACET_FAMILIES for key, attr in fam.fields.items()}
         return cls(
-            n_x=n_x, n_y=n_y, n_z=n_z,
-            h_x=data["cell_size"][0], h_y=data["cell_size"][1], h_z=data["cell_size"][2],
+            n_x=n_x, n_y=n_y, n_z=n_z, h_x=h_x, h_y=h_y, h_z=h_z,
             mu=data["viscosity"],
             inlet_mask=np.asarray(data["inlet_mask"], dtype=bool),
             outlet_mask=np.asarray(data["outlet_mask"], dtype=bool),
             membrane_multiplicity=np.asarray(data["membrane_multiplicity"], dtype=np.int64),
-            z_radius0=np.asarray(data["z"]["radius0"], dtype=float),
-            z_radius=np.asarray(data["z"]["radius"], dtype=float),
-            z_state=np.asarray(data["z"]["state"], dtype=np.int8),
-            z_open_count=np.asarray(data["z"]["open_count"], dtype=np.int64),
-            x_radius0=np.asarray(data["x"]["radius0"], dtype=float),
-            x_radius=np.asarray(data["x"]["radius"], dtype=float),
-            x_state=np.asarray(data["x"]["state"], dtype=np.int8),
-            y_radius0=np.asarray(data["y"]["radius0"], dtype=float),
-            y_radius=np.asarray(data["y"]["radius"], dtype=float),
-            y_state=np.asarray(data["y"]["state"], dtype=np.int8),
+            **arrays,
         )
 
     def copy(self) -> "CellGrid":
-        return CellGrid(
-            n_x=self.n_x, n_y=self.n_y, n_z=self.n_z,
-            h_x=self.h_x, h_y=self.h_y, h_z=self.h_z, mu=self.mu,
-            inlet_mask=self.inlet_mask.copy(), outlet_mask=self.outlet_mask.copy(),
-            membrane_multiplicity=self.membrane_multiplicity.copy(),
-            z_radius0=self.z_radius0.copy(), z_radius=self.z_radius.copy(),
-            z_state=self.z_state.copy(), z_open_count=self.z_open_count.copy(),
-            x_radius0=self.x_radius0.copy(), x_radius=self.x_radius.copy(),
-            x_state=self.x_state.copy(),
-            y_radius0=self.y_radius0.copy(), y_radius=self.y_radius.copy(),
-            y_state=self.y_state.copy(),
-        )
+        return replace(self, **{attr: getattr(self, attr).copy() for attr in _ARRAY_FIELDS})
 
     def equals(self, other: "CellGrid") -> bool:
         if (self.n_x, self.n_y, self.n_z) != (other.n_x, other.n_y, other.n_z):
             return False
         if (self.h_x, self.h_y, self.h_z, self.mu) != (other.h_x, other.h_y, other.h_z, other.mu):
             return False
-        pairs = [
-            (self.inlet_mask, other.inlet_mask), (self.outlet_mask, other.outlet_mask),
-            (self.membrane_multiplicity, other.membrane_multiplicity),
-            (self.z_radius0, other.z_radius0), (self.z_radius, other.z_radius),
-            (self.z_state, other.z_state), (self.z_open_count, other.z_open_count),
-            (self.x_radius0, other.x_radius0), (self.x_radius, other.x_radius),
-            (self.x_state, other.x_state),
-            (self.y_radius0, other.y_radius0), (self.y_radius, other.y_radius),
-            (self.y_state, other.y_state),
-        ]
+        pairs = ((getattr(self, attr), getattr(other, attr)) for attr in _ARRAY_FIELDS)
         return all(a.shape == b.shape and np.array_equal(a, b) for a, b in pairs)
 
 
@@ -395,12 +374,17 @@ def build_grid(config: FilterConfig) -> CellGrid:
     """Construct the clean (fully open) lattice described by ``config``."""
     config.validate()
     n_x, n_y, n_z = config.n_x, config.n_y, config.n_z
-
-    radii = config.filter_radii()
     mult = config.multiplicities()
-    z_radius0 = np.broadcast_to(radii, (n_x, n_y, n_z - 1)).copy()
-    x_radius0 = np.full((n_x - 1, n_y, n_z), config.r_side, dtype=float)
-    y_radius0 = np.full((n_x, n_y - 1, n_z), config.r_side, dtype=float)
+    arrays = {}
+    for fam in _FACET_FAMILIES:
+        shape = [n_x, n_y, n_z]
+        shape[fam.axis] -= 1
+        radius0 = np.full(shape, config.filter_radii() if fam.filtering else config.r_side,
+                          dtype=float)
+        values = [radius0, radius0.copy(), np.zeros(shape, dtype=np.int8)]
+        if fam.filtering:
+            values.append(np.full(shape, mult, dtype=np.int64))
+        arrays.update(zip(fam.fields.values(), values))   # radius0, radius, state, open_count
 
     return CellGrid(
         n_x=n_x, n_y=n_y, n_z=n_z,
@@ -409,14 +393,5 @@ def build_grid(config: FilterConfig) -> CellGrid:
         inlet_mask=_window_mask(n_x, n_y, config.resolved_window("inlet")),
         outlet_mask=_window_mask(n_x, n_y, config.resolved_window("outlet")),
         membrane_multiplicity=mult.copy(),
-        z_radius0=z_radius0,
-        z_radius=z_radius0.copy(),
-        z_state=np.zeros((n_x, n_y, n_z - 1), dtype=np.int8),
-        z_open_count=np.broadcast_to(mult, (n_x, n_y, n_z - 1)).astype(np.int64).copy(),
-        x_radius0=x_radius0,
-        x_radius=x_radius0.copy(),
-        x_state=np.zeros((n_x - 1, n_y, n_z), dtype=np.int8),
-        y_radius0=y_radius0,
-        y_radius=y_radius0.copy(),
-        y_state=np.zeros((n_x, n_y - 1, n_z), dtype=np.int8),
+        **arrays,
     )

@@ -175,9 +175,10 @@ def _convective_first_order_warm(chem: Chemistry, radius, c0: float, v0, c1_gues
     pos = g > 0
     y[pos] = (c0 / g[pos] - 1.0) / a[pos]
     y = np.clip(y, 0.0, 1.0)
+    a4, a3 = 4.0 * a - 2.0, 3.0 * a     # the slope's loop-invariant factors
     for _ in range(4):
         resid = y * (2.0 - y) * (a * y + 1.0) - b
-        slope = 2.0 + (4.0 * a - 2.0) * y - 3.0 * a * y * y
+        slope = 2.0 + a4 * y - a3 * y * y
         y = np.clip(y - resid / np.where(slope == 0.0, 1.0, slope), 0.0, 1.0)
     resid = np.abs(y * (2.0 - y) * (a * y + 1.0) - b)
     bad = resid > 1e-10 * np.maximum(b, 1.0)

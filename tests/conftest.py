@@ -8,6 +8,8 @@ from clogsim.model import Chemistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
+# exact expected texts of the JSON grid and config echo formats
+DATA_DIR = REPO_ROOT / "tests" / "data"
 
 # Calibration benchmark: 0.1 mm of deposit per 30-day month in a 1e-6 m
 # channel fed at 1e-3 kg/m^3.  Frozen full-precision outputs below are the

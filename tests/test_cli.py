@@ -10,7 +10,7 @@ from clogsim.cli import (_parse_seed_spec, format_config, main, parse_config,
 from clogsim.engine import run
 from clogsim.model import FilterConfig
 
-from conftest import (CONFIG_DIR, ENTRANCE_CONCENTRATION, GROWTH, RATE_CONSTANT,
+from conftest import (CONFIG_DIR, DATA_DIR, ENTRANCE_CONCENTRATION, GROWTH, RATE_CONSTANT,
                       WALL_CONCENTRATION)
 
 SMALL = """\
@@ -134,8 +134,9 @@ class TestFormatConfig:
         assert again == cfg
         assert format_config(again) == text
 
-    def test_round_trip_with_all_extras(self, calcium):
-        cfg = FilterConfig(
+    @pytest.fixture
+    def all_extras(self, calcium):
+        return FilterConfig(
             L_x=2e-4, L_y=2e-4, L_z=3e-4, n_x=4, n_y=4, n_z=6,
             p_grad=-0.123e4, mu=1.7e-3, l_particle=2.5e-5, N_particles=3.3e7,
             r_filter=(1e-5, 1.1e-5, 9e-6, 8.5e-6, 1.05e-5), r_side=2e-5,
@@ -144,8 +145,21 @@ class TestFormatConfig:
             time_limit=3600.0, blocking_law="simple", seed=17,
             solver_tol=1e-20, solver_max_iter=5000, solver_sweep="redblack",
             aperture_multiplicity=(2, 3, 2, 2, 1))
+
+    def test_round_trip_with_all_extras(self, all_extras):
+        cfg = all_extras
         text = format_config(cfg)
         assert parse_config_text(text) == cfg
+
+    # the exact echo text, key order included; the round trips above would
+    # still pass if the keys were reordered
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2", "scenario3"])
+    def test_shipped_config_echo_is_pinned(self, name):
+        text = format_config(parse_config(CONFIG_DIR / f"{name}.cfg"))
+        assert text == (DATA_DIR / f"{name}.echo.cfg").read_text()
+
+    def test_all_extras_echo_is_pinned(self, all_extras):
+        assert format_config(all_extras) == (DATA_DIR / "all_extras.echo.cfg").read_text()
 
     def test_defaults_stay_out_of_the_echo(self):
         text = format_config(parse_config_text(SMALL))

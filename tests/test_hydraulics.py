@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from clogsim.hydraulics import (ConvergenceError, DegenerateNetworkError, aperture_flow,
-                                cell_net_outflow, check_connected, conductance_arrays,
-                                default_relaxation, flows_from_pressures, outlet_flow,
-                                pressure_csv, reference_cell_flow, solve_pressures,
-                                total_flow)
+from clogsim.hydraulics import (ConvergenceError, DegenerateNetworkError, _neighbor_sums,
+                                _stencil, aperture_flow, cell_net_outflow, check_connected,
+                                conductance_arrays, default_relaxation, flows_from_pressures,
+                                outlet_flow, pressure_csv, reference_cell_flow,
+                                solve_pressures, total_flow)
 from clogsim.model import ApertureState, FilterConfig, build_grid
 
 SAMPLE_APERTURE_FLOW = 5.561011695935633e-13   # scenario cell, frozen
@@ -175,6 +175,32 @@ class TestConductances:
         grid.z_open_count[2, 2, 1] = 1
         _, _, gz = conductance_arrays(grid)
         assert gz[2, 2, 1] == pytest.approx(gz[0, 0, 1] / 4, rel=1e-12)
+
+
+class TestNeighborSums:
+    @staticmethod
+    def facet_sweep(p, g):
+        """Reference: per-axis sweep over the 3-D facet arrays, x then y then z."""
+        out = np.zeros_like(p)
+        for axis, ga in enumerate(g):
+            lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+            hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+            out[lo] += ga * p[hi]
+            out[hi] += ga * p[lo]
+        return out
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 5, 4), (6, 2, 3), (20, 20, 20)])
+    def test_flat_kernel_matches_facet_sweep_bit_for_bit(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        g = []
+        for axis in range(3):
+            facets = tuple(n - 1 if a == axis else n for a, n in enumerate(shape))
+            g.append(np.where(rng.random(facets) < 0.3, 0.0, rng.random(facets)))
+        stencil = _stencil(tuple(g))
+        for _ in range(3):
+            p = rng.standard_normal(shape)
+            got = _neighbor_sums(p, stencil, np.empty_like(p))
+            assert got.tobytes() == self.facet_sweep(p, g).tobytes()
 
 
 class TestSolverAgainstDenseOracle:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from clogsim.model import (ApertureState, Chemistry, FilterConfig, build_grid)
+
+from conftest import DATA_DIR
 
 
 def make_config(**overrides) -> FilterConfig:
@@ -122,6 +125,23 @@ class TestValidation:
         ("flow_stop_fraction", 1.5, "flow_stop_fraction"),
         ("seal_fraction", 0.0, "seal_fraction"),
         ("aperture_multiplicity", 0, "aperture_multiplicity"),
+        ("L_x", math.inf, "L_x"),
+        ("L_y", math.nan, "L_y"),
+        ("L_z", math.inf, "L_z"),
+        ("mu", math.inf, "mu"),
+        ("mu", math.nan, "mu"),
+        ("p_grad", math.nan, "p_grad"),
+        ("p_grad", -math.inf, "p_grad"),
+        ("p_grad", 1e4, "p_grad"),
+        ("l_particle", math.nan, "l_particle"),
+        ("l_particle", math.inf, "l_particle"),
+        ("N_particles", math.nan, "N_particles"),
+        ("N_particles", math.inf, "N_particles"),
+        ("r_filter", math.nan, "r_filter"),
+        ("depletion_threshold", 0.0, "depletion_threshold"),
+        ("depletion_threshold", 1.0, "depletion_threshold"),
+        ("depletion_threshold", -0.05, "depletion_threshold"),
+        ("depletion_threshold", math.nan, "depletion_threshold"),
     ])
     def test_rejects_bad_field(self, field, value, fragment):
         cfg = make_config(**{field: value})
@@ -203,6 +223,12 @@ class TestSerialization:
         assert back.z_radius.dtype == np.float64
         assert back.z_state.dtype == np.int8
         assert back.z_open_count.dtype == np.int64
+
+    def test_json_text_is_pinned(self):
+        # the exact bytes, key order included; a round trip alone would not
+        # notice a reordered payload
+        expected = (DATA_DIR / "mutated_grid.json").read_bytes()
+        assert self._mutated_grid().to_json().encode() == expected
 
     def test_copy_is_independent(self):
         grid = self._mutated_grid()
