@@ -166,6 +166,7 @@ class SimulationState:
     grid: CellGrid
     pressures: np.ndarray
     layer_concentration: np.ndarray   # (n_z,), m^-3
+    pass_prob: np.ndarray             # (n_x, n_y, n_z - 1), of the current z radii
     catches: np.ndarray               # (n_z - 1,), cumulative per membrane
     time: float
     steps: int
@@ -177,6 +178,10 @@ class SimulationState:
     # only when a membrane runs out of open facets, which is O(m) to test
     sides_intact: bool = True
     last_dt: float | None = None
+    # converged field and step before the last ones; with them the next
+    # solve gets a linearly extrapolated candidate start
+    prev_pressures: np.ndarray | None = None
+    prev_dt: float | None = None
     trace: list[TraceSnapshot] = field(default_factory=list)
     # previous wall concentrations per aperture family; warm-starts the
     # deposition solve, never affects the converged values
@@ -193,15 +198,17 @@ def _open_weights(grid: CellGrid):
     return w, w.sum(axis=(0, 1))
 
 
-def _mean_pass(grid: CellGrid, rod_length: float) -> np.ndarray:
-    """Mean pass probability of each membrane's open sub-apertures."""
-    w, wt = _open_weights(grid)
-    if rod_length > 0:
-        q = pass_probability(grid.z_radius, rod_length)
+def _pass_and_concentration(config: FilterConfig, grid: CellGrid):
+    """Pass probability of every filtering facet and the layer concentrations
+    that the membranes' mean pass over their open sub-apertures gives.
+    """
+    if config.l_particle > 0:
+        q = pass_probability(grid.z_radius, config.l_particle)
     else:
         q = np.ones_like(grid.z_radius)
-    num = (w * q).sum(axis=(0, 1))
-    return np.where(wt > 0, num / np.maximum(wt, 1), 0.0)
+    w, wt = _open_weights(grid)
+    mean_pass = np.where(wt > 0, (w * q).sum(axis=(0, 1)) / np.maximum(wt, 1), 0.0)
+    return q, layer_concentrations(config.N_particles, mean_pass)
 
 
 def initialize(config: FilterConfig) -> SimulationState:
@@ -211,10 +218,10 @@ def initialize(config: FilterConfig) -> SimulationState:
         else 1e-6 * reference_cell_flow(grid, 0.0, p_out)
     ramp = np.linspace(0.0, p_out, config.n_z)
     pressures = np.broadcast_to(ramp, (config.n_x, config.n_y, config.n_z)).copy()
-    conc = layer_concentrations(config.N_particles, _mean_pass(grid, config.l_particle))
+    q, conc = _pass_and_concentration(config, grid)
     return SimulationState(
         config=config, grid=grid, pressures=pressures,
-        layer_concentration=conc,
+        layer_concentration=conc, pass_prob=q,
         catches=np.zeros(config.n_z - 1, dtype=np.int64),
         time=0.0, steps=0,
         rng=np.random.default_rng(config.seed),
@@ -271,9 +278,8 @@ def _membrane_stats(state: SimulationState, flows: FlowField):
     w, wt = _open_weights(grid)
     if not wt.any():
         return None
-    q = pass_probability(grid.z_radius, cfg.l_particle)
     f_sub = np.where(w > 0, np.abs(flows.flow_z) / np.maximum(w, 1), 0.0)
-    return q, f_sub, w, wt
+    return state.pass_prob, f_sub, w, wt
 
 
 def _adaptive_dt(state: SimulationState, prep, kinetics) -> float:
@@ -340,10 +346,22 @@ def step(state: SimulationState, dt: float | None = None,
         else:
             raise DegenerateNetworkError(
                 "no open aperture path connects the inlet window to the outlet window")
+    guess = None
+    if state.prev_pressures is not None:
+        # p_n + (p_n - p_{n-1}) dt_n / dt_{n-1}, built in one array
+        guess = state.pressures - state.prev_pressures
+        guess *= state.last_dt / state.prev_dt
+        guess += state.pressures
     field_ = solve_pressures(
         grid, 0.0, state.p_out, tol=state.solver_tol,
-        max_iter=cfg.solver_max_iter, initial=state.pressures,
+        max_iter=cfg.solver_max_iter, initial=state.pressures, guess=guess,
         sweep=cfg.solver_sweep, check_connectivity=check)
+    if state.steps > 0:    # before the first solve, pressures holds the ramp
+        # one buffer per run: keeping each step's array a step longer
+        # fragments the heap and raised the peak RSS of scenario 1 by 1 MB
+        if state.prev_pressures is None:
+            state.prev_pressures = np.empty_like(state.pressures)
+        np.copyto(state.prev_pressures, state.pressures)
     state.pressures = field_.pressure
     state.topology_dirty = False
     flows = flows_from_pressures(grid, field_)
@@ -416,11 +434,10 @@ def step(state: SimulationState, dt: float | None = None,
                 if not fam.filtering:
                     state.sides_intact = False
 
-    state.layer_concentration = layer_concentrations(
-        cfg.N_particles, _mean_pass(grid, cfg.l_particle))
+    state.pass_prob, state.layer_concentration = _pass_and_concentration(cfg, grid)
     state.time += dt
     state.steps += 1
-    state.last_dt = dt
+    state.prev_dt, state.last_dt = state.last_dt, dt
     return state
 
 

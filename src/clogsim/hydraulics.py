@@ -157,6 +157,21 @@ def _neighbor_sums(p, stencil, out):
     return out
 
 
+def _residual(p, stencil, den, active, work):
+    """Max-norm net flow of field ``p`` over the active cells, m^3/s."""
+    if not np.any(active):
+        return 0.0
+    s = _neighbor_sums(p, stencil, work)
+    return float(np.max(np.abs(np.where(active, s - den * p, 0.0))))
+
+
+def _start_field(values, name: str, shape) -> np.ndarray:
+    p = np.array(values, dtype=float, copy=True)
+    if p.shape != shape:
+        raise ValueError(f"{name} pressure shape {p.shape} != {shape}")
+    return p
+
+
 def default_relaxation(grid: CellGrid) -> float:
     """Near-optimal over-relaxation factor for this lattice size.
 
@@ -170,6 +185,7 @@ def default_relaxation(grid: CellGrid) -> float:
 def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
                     tol: float | None = None, max_iter: int = 100_000, *,
                     initial: np.ndarray | None = None,
+                    guess: np.ndarray | None = None,
                     relaxation: float | None = None,
                     sweep: str = "cg",
                     check_connectivity: bool = True) -> PressureField:
@@ -177,11 +193,15 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
 
     ``tol`` is an absolute bound on the per-cell net flow [m^3/s]; default is
     1e-6 times the clean-filter reference cell flow.  ``initial`` warm-starts
-    the iteration (a linear ramp otherwise).  ``sweep`` selects "cg"
-    (conjugate gradient; fastest, the default and the FilterConfig default),
-    "redblack" (over-relaxation with factor ``relaxation``, vectorised) or
-    "lexicographic" (reference ordering, small grids).  All three converge
-    to the same field and honour the same residual bound.
+    the iteration (a linear ramp otherwise).  ``guess`` is a second candidate
+    start, such as a field extrapolated from earlier solves: it replaces
+    ``initial`` on the active cells only when its max-norm net-flow residual
+    is strictly smaller, and never on window or isolated cells.  ``sweep``
+    selects "cg" (conjugate gradient; fastest, the default and the
+    FilterConfig default), "redblack" (over-relaxation with factor
+    ``relaxation``, vectorised) or "lexicographic" (reference ordering, small
+    grids).  All three converge to the same field and honour the same
+    residual bound.
     """
     if check_connectivity:
         check_connected(grid)
@@ -196,9 +216,7 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     g = conductance_arrays(grid)
 
     if initial is not None:
-        p = np.array(initial, dtype=float, copy=True)
-        if p.shape != (n_x, n_y, n_z):
-            raise ValueError(f"initial pressure shape {p.shape} != {(n_x, n_y, n_z)}")
+        p = _start_field(initial, "initial", (n_x, n_y, n_z))
     else:
         ramp = np.linspace(p_in, p_out, n_z)
         p = np.broadcast_to(ramp, (n_x, n_y, n_z)).copy()
@@ -215,6 +233,11 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     safe_den = np.where(den > 0, den, 1.0)
 
     work = np.empty_like(p)
+    if guess is not None:
+        trial = np.where(active, _start_field(guess, "guess", p.shape), p)
+        if _residual(trial, stencil, den, active, work) \
+                < _residual(p, stencil, den, active, work):
+            p = trial
 
     if sweep == "lexicographic":
         return _solve_lexicographic(p, stencil, den, active, tol, max_iter)
@@ -235,9 +258,7 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
             s = _neighbor_sums(p, stencil, work)
             p = np.where(color, (1.0 - omega) * p + omega * s / safe_den, p)
         if it % check_every == 0 or it == max_iter:
-            s = _neighbor_sums(p, stencil, work)
-            residual = float(np.max(np.abs(np.where(active, s - den * p, 0.0)))) \
-                if np.any(active) else 0.0
+            residual = _residual(p, stencil, den, active, work)
             if residual <= tol:
                 return PressureField(p, residual, it)
     raise ConvergenceError(
@@ -367,9 +388,7 @@ def _solve_lexicographic(p, stencil, den, active, tol, max_iter):
                 if c < up.size:
                     acc += up[c] * flat_p[c + stride]
             flat_p[c] = acc / flat_den[c]
-        s = _neighbor_sums(p, stencil, work)
-        residual = float(np.max(np.abs(np.where(active, s - den * p, 0.0)))) \
-            if np.any(active) else 0.0
+        residual = _residual(p, stencil, den, active, work)
         if residual <= tol:
             return PressureField(p, residual, it)
     raise ConvergenceError(

@@ -213,8 +213,9 @@ class FilterConfig:
             raise ValueError(
                 f"c0_entrance must be positive (m^-3) when chemistry is set, "
                 f"got {self.c0_entrance!r}")
-        if not (self.dt == "adaptive" if isinstance(self.dt, str) else self.dt > 0):
-            raise ValueError(f"dt must be a positive time in s or 'adaptive', got {self.dt!r}")
+        if not (self.dt == "adaptive" if isinstance(self.dt, str) else 0 < self.dt < math.inf):
+            raise ValueError(
+                f"dt must be a positive finite time in s or 'adaptive', got {self.dt!r}")
         for name, words in (("blocking_law", ("simple", "corrected")),
                             ("solver_sweep", ("cg", "redblack", "lexicographic"))):
             value = getattr(self, name)
@@ -224,8 +225,8 @@ class FilterConfig:
             raise ValueError(f"solver_max_iter must be >= 1, got {self.solver_max_iter!r}")
         for name, unit in (("solver_tol", "m^3/s"), ("time_limit", "s")):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive ({unit}), got {value!r}")
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite ({unit}), got {value!r}")
         for name in ("flow_stop_fraction", "seal_fraction", "depletion_threshold"):
             value = getattr(self, name)
             if not 0 < value < 1:

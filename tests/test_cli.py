@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,22 @@ class TestSimulateCommand:
         echoed = parse_config(out / "config_echo.cfg")
         assert echoed == parse_config_text(SMALL)
         assert "time-limit" in capsys.readouterr().out
+
+    def test_same_seed_runs_write_identical_trace(self, tmp_path):
+        # scenario 1 on a 6^3 lattice: deposition keeps every step's pressure
+        # system changing, so the solves start from extrapolated fields
+        text = (CONFIG_DIR / "scenario1.cfg").read_text()
+        text = re.sub(r"^(L_[xyz]) = .*$", r"\1 = 3e-4", text, flags=re.M)
+        text = re.sub(r"^(n_[xyz]) = .*$", r"\1 = 6", text, flags=re.M)
+        cfg_path = tmp_path / "s1_small.cfg"
+        cfg_path.write_text(text.replace("6..14", "2..5"))
+        traces = []
+        for name in ("a", "b"):
+            assert main(["simulate", "--config", str(cfg_path), "--out",
+                         str(tmp_path / name), "--time-limit", "1.5e5"]) == 0
+            traces.append((tmp_path / name / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+        assert traces[0].count(b"\n") > 20
 
     def test_membrane_map_texture(self, tmp_path):
         cfg_path = tmp_path / "small.cfg"

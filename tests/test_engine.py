@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from clogsim import engine
 from clogsim.engine import (LayerStats, SimulationTrace, initialize,
                             layer_concentrations, pass_probability, run, step,
                             step_blocking_probability)
@@ -326,6 +327,62 @@ class TestDeterminism:
         a = run(dataclasses.replace(base, seed=1)).to_csv()
         b = run(dataclasses.replace(base, seed=2)).to_csv()
         assert a != b
+
+
+def scenario1_small(chemistry) -> FilterConfig:
+    """Scenario 1's filter, chemistry and particle load on a 6^3 lattice."""
+    return make_config(L_x=3e-4, L_y=3e-4, L_z=3e-4, n_x=6, n_y=6, n_z=6,
+                       r_filter=1.19e-5, r_side=2.5e-5, chemistry=chemistry,
+                       c0_entrance=4.428044676470588e21, seed=1,
+                       inlet_window=((2, 5), (2, 5)), outlet_window=((2, 5), (2, 5)))
+
+
+class TestWarmStart:
+    @staticmethod
+    def record_solves(monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            field_ = solve_pressures(*args, **kwargs)
+            calls.append((kwargs.get("guess"), field_.pressure))
+            return field_
+
+        monkeypatch.setattr(engine, "solve_pressures", recording)
+        return calls
+
+    def test_guess_extrapolates_from_third_step_on(self, calcium, monkeypatch):
+        calls = self.record_solves(monkeypatch)
+        # scenario 1 on a 6^3 lattice: every step's solve moves the field
+        state = initialize(scenario1_small(calcium))
+        for _ in range(6):
+            step(state)
+        dts = [snap.dt for snap in state.trace]
+        assert len(set(dts)) == len(dts)   # adaptive steps, so the ratio matters
+        assert calls[0][0] is None and calls[1][0] is None
+        for k in range(2, 6):
+            p_n, p_prev = calls[k - 1][1], calls[k - 2][1]
+            assert np.any(p_n != p_prev)
+            want = p_n + (p_n - p_prev) * (dts[k - 1] / dts[k - 2])
+            assert calls[k][0].tobytes() == want.tobytes(), f"step {k + 1}"
+
+    def test_pass_probability_once_per_step(self, calcium, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pass_probability(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "pass_probability", counting)
+        cfg = scenario1_small(calcium)
+        state = initialize(cfg)
+        assert len(calls) == 1
+        for _ in range(4):
+            step(state)
+        assert len(calls) == 1 + 4
+        # the probabilities kept for the next step follow the shrunken radii
+        assert np.any(state.grid.z_radius != state.grid.z_radius0)
+        np.testing.assert_array_equal(
+            state.pass_prob, pass_probability(state.grid.z_radius, cfg.l_particle))
 
 
 class TestMeanField:

@@ -10,7 +10,9 @@ from clogsim.hydraulics import (ConvergenceError, DegenerateNetworkError, _neigh
                                 conductance_arrays, default_relaxation, flows_from_pressures,
                                 outlet_flow, pressure_csv, reference_cell_flow,
                                 solve_pressures, total_flow)
-from clogsim.model import ApertureState, FilterConfig, build_grid
+from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig, build_grid
+
+from conftest import DATA_DIR
 
 SAMPLE_APERTURE_FLOW = 5.561011695935633e-13   # scenario cell, frozen
 
@@ -94,10 +96,11 @@ def dense_pressures(grid, p_in: float, p_out: float) -> np.ndarray:
     return np.linalg.solve(A, rhs).reshape(n_x, n_y, n_z)
 
 
-def random_connected_grid(rng, close_prob_z: float, close_prob_side: float):
+def random_connected_grid(rng, close_prob_z: float, close_prob_side: float,
+                          config: FilterConfig | None = None):
     """Random closure pattern that keeps an inlet-outlet path."""
     for _ in range(200):
-        grid = build_grid(make_config())
+        grid = build_grid(config if config is not None else make_config())
         grid.z_state[rng.random(grid.z_state.shape) < close_prob_z] = \
             ApertureState.PARTICLE_BLOCKED
         grid.x_state[rng.random(grid.x_state.shape) < close_prob_side] = \
@@ -380,3 +383,154 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[:3] == ["1", "1", "1"]
         assert float(first[3]) == pytest.approx(0.0, abs=1e-12)
+
+
+# Pressure bytes and iteration counts of the solves below (arrays
+# ``<name>_pressure`` and ``<name>_iterations``), captured before the solver's
+# start selection (``guess``) existed; a solve without a guess must
+# reproduce them exactly.
+PINNED_SOLVES = DATA_DIR / "pinned_solves.npz"
+
+
+def pinned_solves() -> dict[str, tuple[np.ndarray, int]]:
+    """name -> (pressure, iterations) of solves on random closure patterns.
+
+    Cubic lattices of 4 to 10 cells a side, windows narrower than the face
+    from 6 cells on, with shrunken and partly blocked apertures.  Each
+    pattern is solved by CG from the default ramp, then closed a little
+    further and solved again from the first field, as an engine step does.
+    The 4^3 and 5^3 patterns also run both reference sweeps.
+    """
+    rng = np.random.default_rng(20261018)
+    out = {}
+    for n in (4, 5, 6, 8, 10):
+        window = ((2, n - 1), (2, n - 1)) if n >= 6 else None
+        config = make_config(L_x=5e-5 * n, L_y=5e-5 * n, L_z=5e-5 * n,
+                             n_x=n, n_y=n, n_z=n, r_filter=1e-5, r_side=2e-5,
+                             inlet_window=window, outlet_window=window)
+        for k in range(2):
+            grid = random_connected_grid(rng, rng.uniform(0.05, 0.35),
+                                         rng.uniform(0.0, 0.3), config)
+            for _, radius, _, _ in (fam.arrays(grid) for fam in _FACET_FAMILIES):
+                radius *= rng.uniform(0.5, 1.0, radius.shape)
+            grid.z_open_count -= rng.integers(0, 2, grid.z_open_count.shape) \
+                * (grid.z_open_count > 1)
+            name = f"n{n}_{k}"
+            cold = solve_pressures(grid, 0.0, -2.0, sweep="cg")
+            out[f"{name}_cold"] = (cold.pressure, cold.iterations)
+            closing = (rng.random(grid.z_state.shape) < 0.05) \
+                & (grid.z_state == ApertureState.OPEN)
+            grid.z_state[closing] = ApertureState.PARTICLE_BLOCKED
+            grid.z_open_count[closing] = 0
+            grid.x_radius *= 0.97
+            try:
+                check_connected(grid)
+            except DegenerateNetworkError:
+                grid.z_state[closing] = ApertureState.OPEN
+                grid.z_open_count[closing] = 1
+            warm = solve_pressures(grid, 0.0, -2.0, sweep="cg", initial=cold.pressure)
+            out[f"{name}_warm"] = (warm.pressure, warm.iterations)
+            if n <= 5:
+                for sweep in ("redblack", "lexicographic"):
+                    ref = solve_pressures(grid, 0.0, -2.0, sweep=sweep)
+                    out[f"{name}_{sweep}"] = (ref.pressure, ref.iterations)
+    return out
+
+
+def start_net_flow(grid, p_in: float, p_out: float, p):
+    """Net flow of every cell of ``p`` with the windows pinned, zero on the
+    cells without an equation; its max norm ranks the solver's starts."""
+    stencil = _stencil(conductance_arrays(grid))
+    den = _neighbor_sums(np.ones(p.shape), stencil, np.empty(p.shape))
+    fixed = np.zeros(p.shape, dtype=bool)
+    fixed[:, :, 0] = grid.inlet_mask
+    fixed[:, :, -1] = grid.outlet_mask
+    pinned = p.copy()
+    pinned[:, :, 0][grid.inlet_mask] = p_in
+    pinned[:, :, -1][grid.outlet_mask] = p_out
+    net = _neighbor_sums(pinned, stencil, np.empty(p.shape)) - den * pinned
+    active = ~fixed & (den > 0)
+    return np.where(active, net, 0.0), den, active
+
+
+def guess_grid(n: int = 6, seed: int = 5):
+    """A connected random closure pattern on an n^3 lattice with inner windows."""
+    config = make_config(L_x=5e-5 * n, L_y=5e-5 * n, L_z=5e-5 * n,
+                         n_x=n, n_y=n, n_z=n, inlet_window=((2, n - 1), (2, n - 1)),
+                         outlet_window=((2, n - 1), (2, n - 1)))
+    return random_connected_grid(np.random.default_rng(seed), 0.2, 0.15, config)
+
+
+class TestStartGuess:
+    def test_no_guess_matches_pinned_solves(self):
+        stored = np.load(PINNED_SOLVES)
+        got = pinned_solves()
+        assert len(stored.files) == 2 * len(got)
+        for name, (pressure, iterations) in got.items():
+            assert pressure.tobytes() == stored[f"{name}_pressure"].tobytes(), name
+            assert iterations == int(stored[f"{name}_iterations"]), name
+
+    @pytest.mark.parametrize("sweep", ["cg", "redblack", "lexicographic"])
+    @pytest.mark.parametrize("kind", ["worse", "tie"])
+    def test_guess_not_better_changes_nothing(self, sweep, kind):
+        grid = guess_grid(n=5 if sweep == "lexicographic" else 6)
+        initial = solve_pressures(grid, 0.0, -2.0, sweep="cg").pressure
+        grid.z_radius *= 0.9    # the next system of a slowly changing sequence
+        net, den, active = start_net_flow(grid, 0.0, -2.0, initial)
+        worst = np.max(np.abs(net))
+        if kind == "worse":
+            guess = initial + np.random.default_rng(9).uniform(-0.2, 0.2, initial.shape)
+            assert np.max(np.abs(start_net_flow(grid, 0.0, -2.0, guess)[0])) > worst
+        else:
+            # move one cell whose neighbourhood is far below the worst cell's
+            # net flow: the max norm keeps its exact value
+            near = np.abs(net)
+            for axis in range(3):
+                for shift in (1, -1):
+                    near = np.maximum(near, np.roll(np.abs(net), shift, axis))
+            cell = np.unravel_index(np.argmin(np.where(active, near, np.inf)), net.shape)
+            assert near[cell] < 0.5 * worst
+            guess = initial.copy()
+            guess[cell] += 0.1 * worst / den[cell]
+            assert np.max(np.abs(start_net_flow(grid, 0.0, -2.0, guess)[0])) == worst
+        want = solve_pressures(grid, 0.0, -2.0, sweep=sweep, initial=initial)
+        got = solve_pressures(grid, 0.0, -2.0, sweep=sweep, initial=initial, guess=guess)
+        assert got.pressure.tobytes() == want.pressure.tobytes()
+        assert got.iterations == want.iterations
+        assert got.residual == want.residual
+
+    def test_converged_guess_takes_no_iterations(self):
+        grid = guess_grid()
+        field = solve_pressures(grid, 0.0, -2.0, sweep="cg")
+        again = solve_pressures(grid, 0.0, -2.0, sweep="cg", guess=field.pressure)
+        assert again.iterations == 0
+        assert again.pressure.tobytes() == field.pressure.tobytes()
+
+    def test_better_guess_is_taken_on_active_cells_only(self):
+        grid = guess_grid()
+        # wall off one inner cell: it has no equation and keeps ``initial``
+        grid.x_state[2:4, 3, 3] = ApertureState.SEDIMENT_SEALED
+        grid.y_state[3, 2:4, 3] = ApertureState.SEDIMENT_SEALED
+        grid.z_state[3, 3, 2:4] = ApertureState.SEDIMENT_SEALED
+        grid.z_open_count[3, 3, 2:4] = 0
+        field = solve_pressures(grid, 0.0, -2.0, sweep="cg")
+        initial = np.full(field.pressure.shape, -1.0)
+        guess = field.pressure.copy()
+        guess[:, :, 0][grid.inlet_mask] = 7.0    # window cells are pinned
+        guess[:, :, -1][grid.outlet_mask] = 7.0
+        guess[3, 3, 3] = 7.0     # the isolated cell
+        got = solve_pressures(grid, 0.0, -2.0, sweep="cg", initial=initial, guess=guess)
+        assert got.iterations == 0
+        assert np.all(got.pressure[:, :, 0][grid.inlet_mask] == 0.0)
+        assert np.all(got.pressure[:, :, -1][grid.outlet_mask] == -2.0)
+        assert got.pressure[3, 3, 3] == -1.0
+        inner = np.ones(guess.shape, dtype=bool)
+        inner[:, :, 0][grid.inlet_mask] = False
+        inner[:, :, -1][grid.outlet_mask] = False
+        inner[3, 3, 3] = False
+        np.testing.assert_array_equal(got.pressure[inner], field.pressure[inner])
+
+    def test_guess_of_wrong_shape(self):
+        grid = build_grid(make_config())
+        with pytest.raises(ValueError, match="guess"):
+            solve_pressures(grid, 0.0, -2.0, guess=np.zeros((4, 4, 3)))

@@ -142,6 +142,9 @@ class TestValidation:
         ("depletion_threshold", 1.0, "depletion_threshold"),
         ("depletion_threshold", -0.05, "depletion_threshold"),
         ("depletion_threshold", math.nan, "depletion_threshold"),
+        ("dt", math.inf, "dt"),
+        ("solver_tol", math.inf, "solver_tol"),
+        ("time_limit", math.inf, "time_limit"),
     ])
     def test_rejects_bad_field(self, field, value, fragment):
         cfg = make_config(**{field: value})
