@@ -10,9 +10,10 @@ axis, and s the aperture area.  Flow through a blocked or sealed aperture
 is exactly zero.  Inlet and outlet window cells hold prescribed pressures;
 every other cell balances its aperture flows to zero, which yields a linear
 system.  Three interchangeable solvers honour the same residual bound:
-preconditioned conjugate gradient (production), red-black successive
-over-relaxation (omega = 1 is a plain Gauss-Seidel sweep), and a
-lexicographic Gauss-Seidel reference loop.
+conjugate gradient preconditioned by a multigrid V-cycle over in-layer
+aggregates (production), red-black successive over-relaxation (omega = 1
+is a plain Gauss-Seidel sweep), and a lexicographic Gauss-Seidel
+reference loop.
 
 Cells whose apertures are all closed have no equation; their pressure is
 left untouched and carries no flow.
@@ -49,6 +50,8 @@ class PressureField:
     pressure: np.ndarray   # (n_x, n_y, n_z), Pa
     residual: float        # max |net cell flow| over inner cells, m^3/s
     iterations: int        # full sweeps performed
+    # the per-facet conductances the solve used (``conductance_arrays``)
+    conductances: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -125,7 +128,8 @@ def check_connected(grid: CellGrid) -> None:
 def _stencil(g):
     """Flat conductances for ``_neighbor_sums``: per axis (x, y, z) its
     stride in the flat cell array, the conductance from each flat index to
-    the one a stride up (zero off the lattice) and a shared scratch view.
+    the one a stride up (zero off the lattice), a shared scratch view, and
+    the facet conductances as a 3-D view of the same memory.
     """
     shape = (g[0].shape[0] + 1,) + g[0].shape[1:]
     strides = (shape[1] * shape[2], shape[2], 1)
@@ -135,7 +139,7 @@ def _stencil(g):
         full = np.zeros(shape)
         full[lo] = ga
         up = full.reshape(-1)[:-s]
-        terms.append((s, up, scratch[:up.size]))
+        terms.append((s, up, scratch[:up.size], full[lo]))
     return tuple(terms)
 
 
@@ -149,7 +153,7 @@ def _neighbor_sums(p, stencil, out):
     """
     flat_p, flat_out = p.reshape(-1), out.reshape(-1)
     flat_out.fill(0.0)
-    for s, up, t in stencil:
+    for s, up, t, _ in stencil:
         np.multiply(up, flat_p[s:], out=t)
         flat_out[:-s] += t
         np.multiply(up, flat_p[:-s], out=t)
@@ -230,7 +234,6 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     stencil = _stencil(g)
     den = _neighbor_sums(np.ones_like(p), stencil, np.empty_like(p))
     active = ~fixed & (den > 0)
-    safe_den = np.where(den > 0, den, 1.0)
 
     work = np.empty_like(p)
     if guess is not None:
@@ -240,9 +243,9 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
             p = trial
 
     if sweep == "lexicographic":
-        return _solve_lexicographic(p, stencil, den, active, tol, max_iter)
+        return _solve_lexicographic(p, g, stencil, den, active, tol, max_iter)
     if sweep == "cg":
-        return _solve_cg(p, g, stencil, den, active, fixed, tol, max_iter)
+        return _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter)
     if sweep != "redblack":
         raise ValueError(
             f"sweep must be 'redblack', 'lexicographic' or 'cg', got {sweep!r}")
@@ -251,6 +254,7 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     parity = sum(np.indices((n_x, n_y, n_z), sparse=True)) % 2 == 0
     red = active & parity
     black = active & ~parity
+    safe_den = np.where(den > 0, den, 1.0)
 
     check_every = 4
     for it in range(1, max_iter + 1):
@@ -260,114 +264,228 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
         if it % check_every == 0 or it == max_iter:
             residual = _residual(p, stencil, den, active, work)
             if residual <= tol:
-                return PressureField(p, residual, it)
+                return PressureField(p, residual, it, g)
     raise ConvergenceError(
         f"pressure relaxation stalled: residual {residual:.3e} > tol {tol:.3e} "
         f"after {max_iter} sweeps")
 
 
-def _layer_coarse_matrix(g, den, active):
-    """Project the pressure system onto per-layer constants.
+# damped Jacobi weight of the multigrid smoother
+_SMOOTHING = 2.0 / 3.0
 
-    Returns (E, keep): the coarse operator over layers that hold active
-    cells, used as the second level of the CG preconditioner.  Couplings to
-    fixed or isolated cells stay on the diagonal and keep E positive
-    definite.
+
+def _pair_sums(a, axis, out=None):
+    """Sums over the index pairs (0, 1), (2, 3), ... along ``axis``; an odd
+    last index stays alone."""
+    n = a.shape[axis]
+    pre = (slice(None),) * axis
+    if out is None:
+        out = np.empty(a.shape[:axis] + ((n + 1) // 2,) + a.shape[axis + 1:])
+    np.add(a[pre + (slice(0, n - 1, 2),)], a[pre + (slice(1, n, 2),)],
+           out=out[pre + (slice(0, n // 2),)])
+    if n % 2:
+        out[pre + (-1,)] = a[pre + (-1,)]
+    return out
+
+
+def _aggregate(a):
+    """Sums over the 2x2 in-layer aggregates of a cell array."""
+    return _pair_sums(_pair_sums(a, 0), 1)
+
+
+def _spread_add(coarse, fine):
+    """Add to every cell of ``fine`` the value of its in-layer aggregate in
+    ``coarse`` (the transpose of summing ``_pair_sums`` over x, then y)."""
+    ex, ey = fine.shape[0] // 2, fine.shape[1] // 2
+    n_z = fine.shape[2]
+    parts = [(fine[:2 * ex, :2 * ey].reshape((ex, 2, ey, 2, n_z), copy=False),
+              coarse[:ex, None, :ey, None])]
+    if fine.shape[0] % 2:
+        parts.append((fine[-1, :2 * ey].reshape((ey, 2, n_z), copy=False),
+                      coarse[-1, :ey, None]))
+    if fine.shape[1] % 2:
+        parts.append((fine[:2 * ex, -1].reshape((ex, 2, n_z), copy=False),
+                      coarse[:ex, None, -1]))
+        if fine.shape[0] % 2:
+            parts.append((fine[-1, -1], coarse[-1, -1]))
+    for view, value in parts:
+        np.add(view, value, out=view)
+
+
+def _apply(v, stencil, diag, out):
+    """``out = diag * v`` minus the conductance-weighted neighbour sums of ``v``."""
+    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+    np.multiply(diag.reshape(-1), flat_v, out=flat_out)
+    for s, up, t, _ in stencil:
+        np.multiply(up, flat_v[s:], out=t)
+        flat_out[:-s] -= t
+        np.multiply(up, flat_v[:-s], out=t)
+        flat_out[s:] -= t
+    return out
+
+
+class _Level:
+    """One level of the multigrid hierarchy: its operator (``stencil`` and
+    ``diag``), the damped Jacobi weights and the work buffers."""
+
+    def __init__(self, stencil, diag, res=None):
+        self.stencil, self.diag = stencil, diag
+        self.smooth = np.divide(_SMOOTHING, diag, out=np.zeros_like(diag), where=diag > 0)
+        self.half = np.empty(((diag.shape[0] + 1) // 2,) + diag.shape[1:])
+        if res is None:     # a coarse level owns its right-hand side and solution
+            self.res, self.rhs, self.x = (np.empty_like(diag) for _ in range(3))
+        else:               # the finest level borrows the caller's
+            self.res, self.rhs, self.x = res, None, None
+
+
+def _coarsen(g):
+    """Conductances between the in-layer aggregates of a level with facet
+    conductances ``g``: the sums over the facets that join two aggregates."""
+    gx, gy, gz = g
+    return _pair_sums(gx[1::2], 1), _pair_sums(gy[:, 1::2], 0), _aggregate(gz)
+
+
+class _VCycle:
+    """Symmetric V(1,1) multigrid preconditioner over in-layer aggregates.
+
+    Level 0 is the pressure system.  Each coarser level joins 2x2 cells (or
+    aggregates) of one layer, never two layers; an odd last row or column
+    stays alone.  The coarsest level holds one aggregate per layer and is
+    solved exactly; every other level is smoothed by one damped Jacobi
+    sweep before and one after its coarse correction, which keeps the
+    preconditioner symmetric positive (semi)definite.
+
+    Every level's operator has all-zero rows and columns on the cells or
+    aggregates without an equation.  Prolongation and restriction therefore
+    need no masks: values there never reach an active one, and the coarse
+    operators are the Galerkin products of the plain aggregate sums.  They
+    are built from sums of non-negative terms only: a conductance is the
+    summed fine conductance between two aggregates, over facets whose two
+    cells are both active, and a diagonal is the sum of its row's
+    conductances plus the aggregate's coupling to the window cells.  A row
+    of an aggregate of isolated or floating cells is therefore exactly zero.
+
+    ``stencil`` and ``den`` give the finest operator and must already be
+    zero off the active cells; ``window`` is each active cell's conductance
+    to the window cells.  ``work`` is a lattice-sized buffer that every call
+    overwrites.
     """
-    act = active.astype(float)
-    den_act = (den * act).sum(axis=(0, 1))
-    gx_intra, gy_intra, gz_cross = ((ga * act[lo] * act[hi]).sum(axis=(0, 1))
-                                    for ga, (lo, hi) in zip(g, _SIDES))
-    diag = den_act - 2.0 * (gx_intra + gy_intra)
-    keep = np.flatnonzero(den_act > 0)
-    if keep.size == 0:
-        return None, keep
-    n_z = den_act.size
-    full = np.zeros((n_z, n_z))
-    full[np.arange(n_z), np.arange(n_z)] = diag
-    k = np.arange(n_z - 1)
-    full[k, k + 1] = -gz_cross
-    full[k + 1, k] = -gz_cross
-    return full[np.ix_(keep, keep)], keep
 
-
-def _solve_cg(p, g, stencil, den, active, fixed, tol, max_iter):
-    """Preconditioned conjugate gradient on the pressure system.
-
-    The preconditioner combines the inverse diagonal with a coarse solve
-    over per-layer constants, which removes the slowly converging smooth
-    modes of the mostly no-flux network.  The residual vector CG carries is
-    exactly the per-cell net flow, so the stopping rule is the same
-    max-norm bound the relaxation sweeps use.  Floating regions (no path to
-    a window) have balanced all-zero equations; a warm start from any
-    converged field leaves them untouched.
-    """
-    work = np.empty_like(p)
-    act_f = active.astype(float)
-    idle = np.flatnonzero(~active)
-    n_layers = den.shape[2]
-    safe_den = np.where(den > 0, den, 1.0)
-    x = np.where(active, p, 0.0)
-    p_fixed = np.where(fixed, p, 0.0)
-    b = np.where(active, _neighbor_sums(p_fixed, stencil, work), 0.0)
-
-    def apply(v, out):
-        _neighbor_sums(v, stencil, work)
-        np.multiply(den, v, out=out)
-        out -= work
-        out *= act_f
-        return out
-
-    coarse, keep = _layer_coarse_matrix(g, den, active)
-    coarse_inv = None
-    if coarse is not None:
+    def __init__(self, stencil, den, window, work):
+        self.levels = [_Level(stencil, den, res=work)]
+        diag = den
+        while diag.shape[:2] != (1, 1):
+            stencil = _stencil(_coarsen([facets for *_, facets in stencil]))
+            window = _aggregate(window)
+            diag = _neighbor_sums(np.ones(window.shape), stencil, np.empty(window.shape))
+            diag += window
+            self.levels.append(_Level(stencil, diag))
+        # the coarsest level is the layer system, dense and solved exactly
+        n_z = diag.size
+        self.layer_matrix = np.diag(diag.reshape(-1))
+        k = np.arange(n_z - 1)
+        self.layer_matrix[k, k + 1] = self.layer_matrix[k + 1, k] = -stencil[2][3].reshape(-1)
+        keep = np.ix_(*2 * (np.flatnonzero(diag.reshape(-1) > 0),))
+        coarse = self.layer_matrix[keep]
+        self.layer_inverse = np.zeros((n_z, n_z))    # zero on the rows without an equation
         try:
             np.linalg.cholesky(coarse)   # positive definiteness test
-            coarse_inv = np.linalg.inv(coarse)
+            self.layer_inverse[keep] = np.linalg.inv(coarse)
         except np.linalg.LinAlgError:
-            coarse_inv = None            # odd topology; diagonal level only
+            self.layer_inverse[keep] = np.linalg.pinv(coarse)
 
-    def precondition(r, out):
-        # r is +0.0 off the active cells, so is r / safe_den; resetting them
-        # after the coarse correction equals adding it masked
-        np.divide(r, safe_den, out=out)
-        if coarse_inv is not None:
-            r_layer = r.sum(axis=(0, 1))[keep]
-            c = np.zeros(n_layers)
-            c[keep] = coarse_inv @ r_layer
-            out += c
-            out.reshape(-1)[idle] = 0.0
+    def __call__(self, r, out):
+        """Write the preconditioned ``r`` into ``out``.  ``r`` must vanish
+        off the active cells; ``out`` holds arbitrary finite values there."""
+        levels = self.levels
+        levels[0].rhs, levels[0].x = r, out
+        for fine, coarse in zip(levels, levels[1:]):
+            # pre-smoothing from zero, then restrict the residual
+            np.multiply(fine.smooth, fine.rhs, out=fine.x)
+            _apply(fine.x, fine.stencil, fine.diag, fine.res)
+            np.subtract(fine.rhs, fine.res, out=fine.res)
+            _pair_sums(_pair_sums(fine.res, 0, out=fine.half), 1, out=coarse.rhs)
+        bottom = levels[-1]
+        np.dot(self.layer_inverse, bottom.rhs.reshape(-1), out=bottom.x.reshape(-1))
+        for fine, coarse in zip(levels[-2::-1], levels[:0:-1]):
+            # coarse correction, then post-smoothing
+            _spread_add(coarse.x, fine.x)
+            _apply(fine.x, fine.stencil, fine.diag, fine.res)
+            np.subtract(fine.rhs, fine.res, out=fine.res)
+            fine.res *= fine.smooth
+            fine.x += fine.res
         return out
+
+
+def _restrict_to_active(stencil, den, active, fixed, work):
+    """Give the operator all-zero rows and columns off the active cells, in
+    place: the stencil then couples active cells only, and ``den`` is zero
+    off them.  Returns each active cell's conductance to the window cells.
+    """
+    window = np.where(active, _neighbor_sums(fixed.astype(float), stencil, work), 0.0)
+    act = active.astype(float)
+    flat_act = act.reshape(-1)
+    for s, up, _, _ in stencil:
+        up *= flat_act[:-s]
+        up *= flat_act[s:]
+    den *= act
+    return window
+
+
+def _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter):
+    """Conjugate gradient on the pressure system, preconditioned by a
+    multigrid V-cycle over in-layer aggregates (``_VCycle``).
+
+    Iterates on ``p`` in place and overwrites ``stencil``, ``den`` and
+    ``work``.  The residual vector CG carries is exactly the per-cell net
+    flow, so the stopping rule is the same max-norm bound the relaxation
+    sweeps use.  Floating regions (no path to a window) have balanced
+    all-zero equations; a warm start from any converged field leaves them
+    untouched.
+    """
+    r = np.where(active, _neighbor_sums(np.where(fixed, p, 0.0), stencil, work), 0.0)
+    window = _restrict_to_active(stencil, den, active, fixed, work)
+    # the cells without an equation keep their values, set aside meanwhile;
+    # CG's updates leave arbitrary finite values there, which no sum reads
+    idle = np.flatnonzero(~active)
+    kept = p.reshape(-1)[idle]
+    p.reshape(-1)[idle] = 0.0
+
+    def result(residual, iterations):
+        p.reshape(-1)[idle] = kept
+        return PressureField(p, residual, iterations, g)
 
     def max_abs(v):
         return float(max(v.max(), -v.min()))
 
-    q = np.empty_like(p)
-    z = np.empty_like(p)
-    tmp = np.empty_like(p)
-    r = b - apply(x, tmp)
+    r -= _apply(p, stencil, den, work)
     residual = max_abs(r)
     if residual <= tol or not np.any(active):
-        return PressureField(np.where(active, x, p), residual, 0)
-    precondition(r, z)
-    rho = float(np.dot(r.ravel(), z.ravel()))
-    d = z.copy()
+        return result(residual, 0)
+    precondition = _VCycle(stencil, den, window, work)
+    del window
+    q = work     # the V-cycle overwrites it; CG needs it only until r is updated
+    z = np.empty_like(p)
+    d = precondition(r, np.empty_like(p))
+    rho = float(np.dot(r.ravel(), d.ravel()))
     for it in range(1, max_iter + 1):
-        apply(d, q)
+        _apply(d, stencil, den, q)
         dq = float(np.dot(d.ravel(), q.ravel()))
         if not dq > 0:
-            break
+            raise ConvergenceError(
+                f"pressure conjugate gradient broke down at iteration {it}: curvature "
+                f"{dq:.3e} is not positive, residual {residual:.3e} > tol {tol:.3e}")
         alpha = rho / dq
-        np.multiply(d, alpha, out=tmp)
-        x += tmp
-        np.multiply(q, alpha, out=tmp)
-        r -= tmp
+        d *= alpha       # d holds the step from here on
+        p += d
+        q *= alpha
+        r -= q
         residual = max_abs(r)
         if residual <= tol:
-            return PressureField(np.where(active, x, p), residual, it)
+            return result(residual, it)
         precondition(r, z)
         rho_new = float(np.dot(r.ravel(), z.ravel()))
-        d *= rho_new / rho
+        d *= rho_new / (rho * alpha)
         d += z
         rho = rho_new
     raise ConvergenceError(
@@ -375,14 +493,14 @@ def _solve_cg(p, g, stencil, den, active, fixed, tol, max_iter):
         f"after {max_iter} iterations")
 
 
-def _solve_lexicographic(p, stencil, den, active, tol, max_iter):
+def _solve_lexicographic(p, g, stencil, den, active, tol, max_iter):
     """Plain Gauss-Seidel in index order.  Reference path for small grids."""
     flat_p, flat_den = p.reshape(-1), den.reshape(-1)
     work = np.empty_like(p)
     for it in range(1, max_iter + 1):
         for c in np.flatnonzero(active):
             acc = 0.0
-            for stride, up, _ in stencil:    # lower, then upper neighbour per axis
+            for stride, up, _, _ in stencil:    # lower, then upper neighbour per axis
                 if c >= stride:
                     acc += up[c - stride] * flat_p[c - stride]
                 if c < up.size:
@@ -390,17 +508,21 @@ def _solve_lexicographic(p, stencil, den, active, tol, max_iter):
             flat_p[c] = acc / flat_den[c]
         residual = _residual(p, stencil, den, active, work)
         if residual <= tol:
-            return PressureField(p, residual, it)
+            return PressureField(p, residual, it, g)
     raise ConvergenceError(
         f"pressure relaxation stalled: residual {residual:.3e} > tol {tol:.3e} "
         f"after {max_iter} sweeps")
 
 
 def flows_from_pressures(grid: CellGrid, field: PressureField) -> FlowField:
-    """Signed per-aperture flows from a converged pressure field."""
+    """Signed per-aperture flows from a converged pressure field.
+
+    Uses the conductances the solve recorded on ``field`` when it has them,
+    so the grid must not have changed since the solve.
+    """
     p = field.pressure
-    return FlowField(*(ga * (p[lo] - p[hi])
-                       for ga, (lo, hi) in zip(conductance_arrays(grid), _SIDES)))
+    g = field.conductances if field.conductances is not None else conductance_arrays(grid)
+    return FlowField(*(ga * (p[lo] - p[hi]) for ga, (lo, hi) in zip(g, _SIDES)))
 
 
 def cell_net_outflow(flows: FlowField, n_x: int, n_y: int, n_z: int) -> np.ndarray:
@@ -412,16 +534,29 @@ def cell_net_outflow(flows: FlowField, n_x: int, n_y: int, n_z: int) -> np.ndarr
     return net
 
 
+def _layer_net_outflow(flows: FlowField, k: int) -> np.ndarray:
+    """Net signed outflow of the cells of layer ``k``, term for term as in
+    ``cell_net_outflow``, so both give the same bytes."""
+    n_z = flows.flow_x.shape[2]
+    net = np.zeros(flows.flow_z.shape[:2])
+    for flow, (lo, hi) in zip((flows.flow_x, flows.flow_y), _SIDES):
+        net[lo[:2]] += flow[:, :, k]
+        net[hi[:2]] -= flow[:, :, k]
+    if k < n_z - 1:
+        net += flows.flow_z[:, :, k]
+    if k > 0:
+        net -= flows.flow_z[:, :, k - 1]
+    return net
+
+
 def total_flow(grid: CellGrid, flows: FlowField) -> float:
     """Total flow entering the filter through the inlet window, m^3/s."""
-    net = cell_net_outflow(flows, grid.n_x, grid.n_y, grid.n_z)
-    return float(np.sum(net[:, :, 0][grid.inlet_mask]))
+    return float(np.sum(_layer_net_outflow(flows, 0)[grid.inlet_mask]))
 
 
 def outlet_flow(grid: CellGrid, flows: FlowField) -> float:
     """Total flow leaving through the outlet window, m^3/s."""
-    net = cell_net_outflow(flows, grid.n_x, grid.n_y, grid.n_z)
-    return float(-np.sum(net[:, :, -1][grid.outlet_mask]))
+    return float(-np.sum(_layer_net_outflow(flows, grid.n_z - 1)[grid.outlet_mask]))
 
 
 def pressure_csv(grid: CellGrid, field: PressureField) -> str:

@@ -385,6 +385,24 @@ class TestWarmStart:
             state.pass_prob, pass_probability(state.grid.z_radius, cfg.l_particle))
 
 
+class TestConductanceBuilds:
+    def test_one_conductance_build_per_step(self, calcium, monkeypatch):
+        from clogsim import hydraulics
+        builds = []
+        build = hydraulics.conductance_arrays
+
+        def counting(grid):
+            builds.append(grid)
+            return build(grid)
+
+        monkeypatch.setattr(hydraulics, "conductance_arrays", counting)
+        state = initialize(scenario1_small(calcium))
+        before = len(builds)
+        for _ in range(5):
+            step(state)
+        assert len(builds) - before == 5
+
+
 class TestMeanField:
     def test_first_step_captures_match_expected_rate(self):
         # pooled over seeds, first-step captures follow the analytic uniform

@@ -5,11 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from clogsim.hydraulics import (ConvergenceError, DegenerateNetworkError, _neighbor_sums,
-                                _stencil, aperture_flow, cell_net_outflow, check_connected,
-                                conductance_arrays, default_relaxation, flows_from_pressures,
-                                outlet_flow, pressure_csv, reference_cell_flow,
-                                solve_pressures, total_flow)
+from clogsim import hydraulics
+from clogsim.hydraulics import (_SIDES, ConvergenceError, DegenerateNetworkError,
+                                FlowField, PressureField, _apply, _neighbor_sums,
+                                _restrict_to_active, _stencil, _VCycle, aperture_flow,
+                                cell_net_outflow, check_connected, conductance_arrays,
+                                default_relaxation, flows_from_pressures, outlet_flow,
+                                pressure_csv, reference_cell_flow, solve_pressures,
+                                total_flow)
 from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig, build_grid
 
 from conftest import DATA_DIR
@@ -386,9 +389,11 @@ class TestCsv:
 
 
 # Pressure bytes and iteration counts of the solves below (arrays
-# ``<name>_pressure`` and ``<name>_iterations``), captured before the solver's
-# start selection (``guess``) existed; a solve without a guess must
-# reproduce them exactly.
+# ``<name>_pressure`` and ``<name>_iterations``); a solve without a guess
+# must reproduce them exactly.  The CG entries were captured with the
+# multigrid preconditioner (``_VCycle``).  The red-black and lexicographic
+# entries are byte for byte those of the first capture, made before the
+# solver's start selection (``guess``) existed.
 PINNED_SOLVES = DATA_DIR / "pinned_solves.npz"
 
 
@@ -534,3 +539,248 @@ class TestStartGuess:
         grid = build_grid(make_config())
         with pytest.raises(ValueError, match="guess"):
             solve_pressures(grid, 0.0, -2.0, guess=np.zeros((4, 4, 3)))
+
+
+def wall_off(grid, lo, hi, inner_open: bool = True) -> None:
+    """Close every facet across the surface of the cell box [lo, hi); open
+    the facets inside it, or close them too, which isolates every cell."""
+    state_inner = ApertureState.OPEN if inner_open else ApertureState.SEDIMENT_SEALED
+    for fam in _FACET_FAMILIES:
+        _, _, state, open_count = fam.arrays(grid)
+        a = fam.axis
+        box = tuple(slice(lo[b], hi[b]) for b in range(3))
+        inner = tuple(slice(lo[b], hi[b] - 1) if b == a else box[b] for b in range(3))
+        state[inner] = state_inner
+        if open_count is not None:
+            open_count[inner] = 1 if inner_open else 0
+        for face in (lo[a] - 1, hi[a] - 1):
+            if 0 <= face < state.shape[a]:
+                cut = tuple(slice(face, face + 1) if b == a else box[b] for b in range(3))
+                state[cut] = ApertureState.SEDIMENT_SEALED
+                if open_count is not None:
+                    open_count[cut] = 0
+
+
+def lattice_config(shape, window=True) -> FilterConfig:
+    n_x, n_y, n_z = shape
+    windows = dict(inlet_window=((2, n_x - 1), (2, n_y - 1)),
+                   outlet_window=((2, n_x - 1), (2, n_y - 1))) if window else {}
+    return make_config(L_x=5e-5 * n_x, L_y=5e-5 * n_y, L_z=5e-5 * n_z,
+                       n_x=n_x, n_y=n_y, n_z=n_z, **windows)
+
+
+def holed_grid(rng, shape, floating=True):
+    """A connected closure pattern with one walled-off cell and a walled-off
+    2x2 in-layer block, whose facets are open inside (a floating cluster)
+    or closed (four isolated cells).  The block is one level-1 aggregate."""
+    for _ in range(50):
+        grid = random_connected_grid(rng, 0.15, 0.1, lattice_config(shape))
+        wall_off(grid, (0, 0, 1), (1, 1, 2))
+        wall_off(grid, (2, 2, 2), (4, 4, 3), inner_open=floating)
+        try:
+            check_connected(grid)
+        except DegenerateNetworkError:
+            continue
+        return grid
+    raise AssertionError("could not draw a connected pattern")
+
+
+def window_connected(grid) -> np.ndarray:
+    """Cells joined to a window cell by open apertures."""
+    masks = [fam.open_mask(grid) for fam in sorted(_FACET_FAMILIES, key=lambda f: f.axis)]
+    reached = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
+    reached[:, :, 0] = grid.inlet_mask
+    reached[:, :, -1] |= grid.outlet_mask
+    while True:
+        nxt = reached.copy()
+        for open_, (lo, hi) in zip(masks, _SIDES):
+            nxt[hi] |= reached[lo] & open_
+            nxt[lo] |= reached[hi] & open_
+        if np.array_equal(nxt, reached):
+            return reached
+        reached = nxt
+
+
+def active_system(grid, p_in: float, p_out: float):
+    """The pressure system assembled densely over the active cells (inner
+    cells with an open aperture): matrix, right-hand side, active mask."""
+    shape = (grid.n_x, grid.n_y, grid.n_z)
+    fixed = np.zeros(shape, dtype=bool)
+    fixed[:, :, 0] = grid.inlet_mask
+    fixed[:, :, -1] |= grid.outlet_mask
+    known = np.zeros(shape)
+    known[:, :, 0][grid.inlet_mask] = p_in
+    known[:, :, -1][grid.outlet_mask] = p_out
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    size = idx.size
+    A = np.zeros((size, size))
+    rhs = np.zeros(size)
+    for ga, (lo, hi) in zip(conductance_arrays(grid), _SIDES):
+        for a, b, g in zip(idx[lo].ravel(), idx[hi].ravel(), ga.ravel()):
+            for i, j in ((a, b), (b, a)):
+                A[i, i] += g
+                if fixed.flat[j]:
+                    rhs[i] += g * known.flat[j]
+                else:
+                    A[i, j] -= g
+    active = ~fixed.ravel() & (np.diag(A) > 0)
+    keep = np.flatnonzero(active)
+    return A[np.ix_(keep, keep)], rhs[keep], active.reshape(shape)
+
+
+def preconditioner(grid):
+    """The CG preconditioner of ``grid``'s pressure system, built the way
+    the solver builds it, with the active mask."""
+    g = conductance_arrays(grid)
+    stencil = _stencil(g)
+    shape = (grid.n_x, grid.n_y, grid.n_z)
+    den = _neighbor_sums(np.ones(shape), stencil, np.empty(shape))
+    fixed = np.zeros(shape, dtype=bool)
+    fixed[:, :, 0] = grid.inlet_mask
+    fixed[:, :, -1] |= grid.outlet_mask
+    active = ~fixed & (den > 0)
+    work = np.empty(shape)
+    window = _restrict_to_active(stencil, den, active, fixed, work)
+    return _VCycle(stencil, den, window, work), active
+
+
+def level_matrix(level) -> np.ndarray:
+    """A multigrid level's operator as a dense matrix."""
+    size = level.diag.size
+    out = np.empty((size, size))
+    unit, column = np.zeros(level.diag.shape), np.empty(level.diag.shape)
+    for c in range(size):
+        unit.flat[c] = 1.0
+        out[:, c] = _apply(unit, level.stencil, level.diag, column).ravel()
+        unit.flat[c] = 0.0
+    return out
+
+
+SHAPES = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (7, 5, 6), (8, 8, 8)]
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("floating", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_cg_matches_dense_solve_on_window_connected_cells(self, shape, floating):
+        rng = np.random.default_rng(sum(shape) + floating)
+        p_in, p_out = 0.0, -2.0
+        for _ in range(3):
+            grid = holed_grid(rng, shape, floating)
+            A, rhs, active = active_system(grid, p_in, p_out)
+            connected = window_connected(grid)
+            assert not connected[0, 0, 1] and not connected[2, 2, 2]
+            want = np.zeros(active.shape)
+            if floating:
+                assert active[2, 2, 2]     # the floating cluster has equations
+                want[active] = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            else:
+                assert not active[2, 2, 2]
+                want[active] = np.linalg.solve(A, rhs)
+            field = solve_pressures(grid, p_in, p_out, sweep="cg")
+            err = np.max(np.abs(np.where(connected & active, field.pressure - want, 0.0)))
+            assert err <= 1e-6 * abs(p_out - p_in)
+            assert np.all(np.isfinite(field.pressure))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_preconditioner_is_symmetric_and_positive(self, shape):
+        rng = np.random.default_rng(7 * sum(shape))
+        precondition, active = preconditioner(holed_grid(rng, shape))
+        for _ in range(5):
+            u, v = (np.where(active, rng.standard_normal(active.shape), 0.0)
+                    for _ in range(2))
+            mu, mv = (precondition(w, np.empty(w.shape)) for w in (u, v))
+            uMu, vMv = np.sum(u * mu), np.sum(v * mv)
+            assert uMu > 0 and vMv > 0
+            assert np.sum(u * mv) == pytest.approx(np.sum(v * mu),
+                                                    abs=1e-12 * math.sqrt(uMu * vMv))
+
+    @pytest.mark.parametrize("floating", [True, False])
+    def test_isolated_or_floating_aggregate_has_zero_row(self, floating):
+        grid = holed_grid(np.random.default_rng(3), (6, 6, 6), floating)
+        precondition, active = preconditioner(grid)
+        level = precondition.levels[1]
+        row = np.ravel_multi_index((1, 1, 2), level.diag.shape)
+        matrix = level_matrix(level)
+        assert level.diag[1, 1, 2] == 0.0
+        assert np.all(matrix[row] == 0.0) and np.all(matrix[:, row] == 0.0)
+        r = np.where(active, np.random.default_rng(4).standard_normal(active.shape), 0.0)
+        assert np.all(np.isfinite(precondition(r, np.empty(r.shape))))
+
+    @pytest.mark.parametrize("shape", SHAPES + [(9, 3, 5)])
+    def test_levels_are_galerkin_products(self, shape):
+        grid = holed_grid(np.random.default_rng(5 * sum(shape)), shape)
+        levels = preconditioner(grid)[0].levels
+        for fine, coarse in zip(levels, levels[1:]):
+            x, y, z = np.indices(fine.diag.shape)
+            agg = np.ravel_multi_index((x // 2, y // 2, z), coarse.diag.shape).ravel()
+            spread = np.zeros((fine.diag.size, coarse.diag.size))
+            spread[np.arange(fine.diag.size), agg] = 1.0
+            want = spread.T @ level_matrix(fine) @ spread
+            np.testing.assert_allclose(level_matrix(coarse), want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("shape", SHAPES + [(20, 20, 20), (9, 3, 5)])
+    def test_coarsest_level_is_the_layer_system(self, shape):
+        grid = random_connected_grid(np.random.default_rng(sum(shape)), 0.2, 0.1,
+                                     lattice_config(shape))
+        precondition, active = preconditioner(grid)
+        # the layer matrix as the additive two-level preconditioner built it
+        g = conductance_arrays(grid)
+        den = _neighbor_sums(np.ones(shape), _stencil(g), np.empty(shape))
+        act = active.astype(float)
+        den_act = (den * act).sum(axis=(0, 1))
+        gx_intra, gy_intra, gz_cross = ((ga * act[lo] * act[hi]).sum(axis=(0, 1))
+                                        for ga, (lo, hi) in zip(g, _SIDES))
+        want = np.diag(den_act - 2.0 * (gx_intra + gy_intra))
+        k = np.arange(shape[2] - 1)
+        want[k, k + 1] = want[k + 1, k] = -gz_cross
+        np.testing.assert_allclose(precondition.layer_matrix, want, rtol=1e-12, atol=0.0)
+        assert [level.diag.shape for level in precondition.levels][-1] == (1, 1, shape[2])
+
+    def test_non_positive_curvature_reports_where_it_stopped(self, monkeypatch):
+        class Zero:
+            def __init__(self, *args):
+                pass
+
+            def __call__(self, r, out):
+                out.fill(0.0)
+                return out
+
+        monkeypatch.setattr(hydraulics, "_VCycle", Zero)
+        with pytest.raises(ConvergenceError, match="broke down at iteration 1: curvature") \
+                as err:
+            solve_pressures(scenario_grid(), 0.0, -10.0, sweep="cg")
+        assert "after" not in str(err.value)
+
+
+class TestConductancesOncePerSolve:
+    @pytest.mark.parametrize("sweep", ["cg", "redblack", "lexicographic"])
+    def test_every_sweep_records_its_conductances(self, sweep):
+        grid = guess_grid(n=5)
+        field = solve_pressures(grid, 0.0, -2.0, sweep=sweep)
+        for got, want in zip(field.conductances, conductance_arrays(grid)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_flows_and_totals_match_the_whole_lattice_formulas(self):
+        rng = np.random.default_rng(11)
+        for shape in [(4, 4, 4), (6, 5, 7), (3, 8, 2), (20, 20, 20)]:
+            grid = random_connected_grid(rng, 0.2, 0.2, lattice_config(shape, window=False))
+            field = solve_pressures(grid, 0.0, -2.0)
+            p = field.pressure
+            old = FlowField(*(ga * (p[lo] - p[hi])
+                              for ga, (lo, hi) in zip(conductance_arrays(grid), _SIDES)))
+            for fresh in (flows_from_pressures(grid, field),
+                          flows_from_pressures(grid, PressureField(p, field.residual,
+                                                                   field.iterations))):
+                for got, want in zip((fresh.flow_x, fresh.flow_y, fresh.flow_z),
+                                     (old.flow_x, old.flow_y, old.flow_z)):
+                    assert got.tobytes() == want.tobytes()
+            # random flows too: no conservation to hide a term
+            flows = FlowField(*(rng.standard_normal(f.shape)
+                                for f in (old.flow_x, old.flow_y, old.flow_z)))
+            for f in (old, flows):
+                net = cell_net_outflow(f, *shape)
+                assert total_flow(grid, f) == float(np.sum(net[:, :, 0][grid.inlet_mask]))
+                assert outlet_flow(grid, f) == \
+                    float(-np.sum(net[:, :, -1][grid.outlet_mask]))
