@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import _FACET_FAMILIES, ApertureState, CellGrid, FilterConfig, build_grid
-from .hydraulics import (DegenerateNetworkError, FlowField, flows_from_pressures,
+from .hydraulics import (DegenerateNetworkError, FlowField, _flows, flows_from_pressures,
                          reference_cell_flow, solve_pressures, total_flow)
 from .sediment import axial_depletion, growth_rate, wall_concentration_profile
 
@@ -364,7 +364,7 @@ def step(state: SimulationState, dt: float | None = None,
         np.copyto(state.prev_pressures, state.pressures)
     state.pressures = field_.pressure
     state.topology_dirty = False
-    flows = flows_from_pressures(grid, field_)
+    flows = _flows(field_.conductances, field_.pressure)
     total = total_flow(grid, flows)
     if state.clean_flow is None:
         state.clean_flow = total

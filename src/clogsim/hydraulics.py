@@ -50,7 +50,8 @@ class PressureField:
     pressure: np.ndarray   # (n_x, n_y, n_z), Pa
     residual: float        # max |net cell flow| over inner cells, m^3/s
     iterations: int        # full sweeps performed
-    # the per-facet conductances the solve used (``conductance_arrays``)
+    # the per-facet conductances the solve used (``conductance_arrays``);
+    # the engine builds its step's flows from them
     conductances: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
@@ -298,13 +299,14 @@ def _spread_add(coarse, fine):
     ``coarse`` (the transpose of summing ``_pair_sums`` over x, then y)."""
     ex, ey = fine.shape[0] // 2, fine.shape[1] // 2
     n_z = fine.shape[2]
-    parts = [(fine[:2 * ex, :2 * ey].reshape((ex, 2, ey, 2, n_z), copy=False),
+    # splitting an axis of a basic slice gives a view, so the adds land in fine
+    parts = [(fine[:2 * ex, :2 * ey].reshape((ex, 2, ey, 2, n_z)),
               coarse[:ex, None, :ey, None])]
     if fine.shape[0] % 2:
-        parts.append((fine[-1, :2 * ey].reshape((ey, 2, n_z), copy=False),
+        parts.append((fine[-1, :2 * ey].reshape((ey, 2, n_z)),
                       coarse[-1, :ey, None]))
     if fine.shape[1] % 2:
-        parts.append((fine[:2 * ex, -1].reshape((ex, 2, n_z), copy=False),
+        parts.append((fine[:2 * ex, -1].reshape((ex, 2, n_z)),
                       coarse[:ex, None, -1]))
         if fine.shape[0] % 2:
             parts.append((fine[-1, -1], coarse[-1, -1]))
@@ -515,28 +517,26 @@ def _solve_lexicographic(p, g, stencil, den, active, tol, max_iter):
 
 
 def flows_from_pressures(grid: CellGrid, field: PressureField) -> FlowField:
-    """Signed per-aperture flows from a converged pressure field.
+    """Signed per-aperture flows from a converged pressure field."""
+    return _flows(conductance_arrays(grid), field.pressure)
 
-    Uses the conductances the solve recorded on ``field`` when it has them,
-    so the grid must not have changed since the solve.
-    """
-    p = field.pressure
-    g = field.conductances if field.conductances is not None else conductance_arrays(grid)
+
+def _flows(g, p) -> FlowField:
+    """Signed per-aperture flows from facet conductances ``g`` and pressures
+    ``p``; the engine passes the conductances its solve recorded."""
     return FlowField(*(ga * (p[lo] - p[hi]) for ga, (lo, hi) in zip(g, _SIDES)))
 
 
 def cell_net_outflow(flows: FlowField, n_x: int, n_y: int, n_z: int) -> np.ndarray:
     """Net signed outflow of every cell, m^3/s (zero for converged inner cells)."""
-    net = np.zeros((n_x, n_y, n_z))
-    for flow, (lo, hi) in zip((flows.flow_x, flows.flow_y, flows.flow_z), _SIDES):
-        net[lo] += flow
-        net[hi] -= flow
+    net = np.empty((n_x, n_y, n_z))
+    for k in range(n_z):
+        net[:, :, k] = _layer_net_outflow(flows, k)
     return net
 
 
 def _layer_net_outflow(flows: FlowField, k: int) -> np.ndarray:
-    """Net signed outflow of the cells of layer ``k``, term for term as in
-    ``cell_net_outflow``, so both give the same bytes."""
+    """Net signed outflow of the cells of layer ``k``."""
     n_z = flows.flow_x.shape[2]
     net = np.zeros(flows.flow_z.shape[:2])
     for flow, (lo, hi) in zip((flows.flow_x, flows.flow_y), _SIDES):
