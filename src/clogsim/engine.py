@@ -87,15 +87,20 @@ def step_blocking_probability(pass_prob, flow, concentration, time_step: float,
     if law == BLOCKING_CORRECTED:
         if layer_stats is None:
             raise ValueError("corrected law needs layer_stats")
-        mean_catch = np.asarray(layer_stats.mean_catch_flow, dtype=float)
-        mean_simple = np.asarray(layer_stats.mean_simple_probability, dtype=float)
-        expected = -np.expm1(-np.asarray(concentration) * mean_catch * time_step)
-        live = mean_simple > 0.0
-        scale = np.where(live, expected / np.where(live, mean_simple, 1.0), 0.0)
-        p = np.clip(p * scale, 0.0, 1.0)
+        p = _corrected(p, concentration, time_step, layer_stats)
     elif law != BLOCKING_SIMPLE:
         raise ValueError(f"law must be 'simple' or 'corrected', got {law!r}")
     return float(p) if np.isscalar(pass_prob) and np.isscalar(flow) else p
+
+
+def _corrected(p_simple, concentration, time_step: float, layer_stats: LayerStats):
+    """The corrected law's capture probability from the simple law's."""
+    mean_catch = np.asarray(layer_stats.mean_catch_flow, dtype=float)
+    mean_simple = np.asarray(layer_stats.mean_simple_probability, dtype=float)
+    expected = -np.expm1(-np.asarray(concentration) * mean_catch * time_step)
+    live = mean_simple > 0.0
+    scale = np.where(live, expected / np.where(live, mean_simple, 1.0), 0.0)
+    return np.clip(p_simple * scale, 0.0, 1.0)
 
 
 def layer_concentrations(inlet_concentration: float, mean_pass: Sequence[float]) -> np.ndarray:
@@ -174,9 +179,6 @@ class SimulationState:
     solver_tol: float
     clean_flow: float | None = None
     topology_dirty: bool = True
-    # while every lateral aperture is still open, the network disconnects
-    # only when a membrane runs out of open facets, which is O(m) to test
-    sides_intact: bool = True
     last_dt: float | None = None
     # converged field and step before the last ones; with them the next
     # solve gets a linearly extrapolated candidate start
@@ -337,15 +339,6 @@ def step(state: SimulationState, dt: float | None = None,
     chem = cfg.chemistry
     rng = rng if rng is not None else state.rng
 
-    check = state.topology_dirty
-    if check and state.sides_intact:
-        # with every lateral aperture open, each layer is one connected slab,
-        # so the network splits only at a membrane with no open facet left
-        if _open_weights(grid)[1].all():
-            check = False
-        else:
-            raise DegenerateNetworkError(
-                "no open aperture path connects the inlet window to the outlet window")
     guess = None
     if state.prev_pressures is not None:
         # p_n + (p_n - p_{n-1}) dt_n / dt_{n-1}, built in one array
@@ -355,7 +348,7 @@ def step(state: SimulationState, dt: float | None = None,
     field_ = solve_pressures(
         grid, 0.0, state.p_out, tol=state.solver_tol,
         max_iter=cfg.solver_max_iter, initial=state.pressures, guess=guess,
-        sweep=cfg.solver_sweep, check_connectivity=check)
+        sweep=cfg.solver_sweep, check_connectivity=state.topology_dirty)
     if state.steps > 0:    # before the first solve, pressures holds the ramp
         # one buffer per run: keeping each step's array a step longer
         # fragments the heap and raised the peak RSS of scenario 1 by 1 MB
@@ -396,18 +389,15 @@ def step(state: SimulationState, dt: float | None = None,
     # capture draws, all membranes at once, against the pre-step concentrations
     if prep is not None:
         q, f_sub, w, wt = prep
-        conc = state.layer_concentration[:grid.n_membranes]
-        stats = None
+        conc = state.layer_concentration[:grid.n_membranes][None, None, :]
+        p = step_blocking_probability(q, f_sub, conc, dt)
         if cfg.blocking_law == BLOCKING_CORRECTED:
             denom = np.maximum(wt, 1)
-            p_simple = 1.0 - q ** (f_sub * dt * conc[None, None, :])
-            stats = LayerStats(
+            p = _corrected(p, conc, dt, LayerStats(
                 mean_catch_flow=(w * (1.0 - q) * f_sub).sum(axis=(0, 1)) / denom,
-                mean_simple_probability=(w * p_simple).sum(axis=(0, 1)) / denom,
-            )
-        p = step_blocking_probability(q, f_sub, conc[None, None, :], dt,
-                                      law=cfg.blocking_law, layer_stats=stats)
-        p = np.where((w > 0) & (conc[None, None, :] > 0), p, 0.0)
+                mean_simple_probability=(w * p).sum(axis=(0, 1)) / denom,
+            ))
+        p = np.where((w > 0) & (conc > 0), p, 0.0)
         hits = rng.binomial(w, p)
         per_membrane = hits.sum(axis=(0, 1))
         if per_membrane.any():
@@ -431,8 +421,6 @@ def step(state: SimulationState, dt: float | None = None,
             if np.any(sealing):
                 st[sealing] = ApertureState.SEDIMENT_SEALED
                 state.topology_dirty = True
-                if not fam.filtering:
-                    state.sides_intact = False
 
     state.pass_prob, state.layer_concentration = _pass_and_concentration(cfg, grid)
     state.time += dt

@@ -1,4 +1,4 @@
-"""Pressure network of the cell lattice and its relaxation solver.
+"""Pressure network of the cell lattice and its iterative solver.
 
 Each open aperture behaves as a conduit whose volumetric flow is
 
@@ -9,11 +9,10 @@ area and perimeter of the cell cross-section perpendicular to the aperture
 axis, and s the aperture area.  Flow through a blocked or sealed aperture
 is exactly zero.  Inlet and outlet window cells hold prescribed pressures;
 every other cell balances its aperture flows to zero, which yields a linear
-system.  Three interchangeable solvers honour the same residual bound:
-conjugate gradient preconditioned by a multigrid V-cycle over in-layer
-aggregates (production), red-black successive over-relaxation (omega = 1
-is a plain Gauss-Seidel sweep), and a lexicographic Gauss-Seidel
-reference loop.
+system.  Two solvers honour the same residual bound: conjugate gradient
+preconditioned by a multigrid V-cycle over in-layer aggregates
+(production), and a lexicographic Gauss-Seidel loop, the scalar reference
+for small grids.
 
 Cells whose apertures are all closed have no equation; their pressure is
 left untouched and carries no flow.
@@ -42,14 +41,16 @@ class DegenerateNetworkError(RuntimeError):
 
 
 class ConvergenceError(RuntimeError):
-    """Relaxation failed to reach the residual tolerance within max_iter sweeps."""
+    """The pressure solve failed to reach the residual tolerance: it ran out
+    of its max_iter iterations or sweeps, or conjugate gradient stalled or
+    broke down (a direction of non-positive curvature)."""
 
 
 @dataclass
 class PressureField:
     pressure: np.ndarray   # (n_x, n_y, n_z), Pa
     residual: float        # max |net cell flow| over inner cells, m^3/s
-    iterations: int        # full sweeps performed
+    iterations: int        # CG iterations or Gauss-Seidel sweeps performed
     # the per-facet conductances the solve used (``conductance_arrays``);
     # the engine builds its step's flows from them
     conductances: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -109,19 +110,30 @@ def reference_cell_flow(grid: CellGrid, p_in: float, p_out: float) -> float:
 
 
 def check_connected(grid: CellGrid) -> None:
-    """Raise DegenerateNetworkError unless an open path joins inlet to outlet."""
+    """Raise DegenerateNetworkError unless an open path joins inlet to outlet.
+
+    While every side facet is open, each layer is one connected slab, so
+    with both windows non-empty the network splits only at a membrane with
+    no open facet left; that is tested directly.  Otherwise a flood fill
+    from the inlet window decides.
+    """
     masks = [fam.open_mask(grid) for fam in _AXIS_FAMILIES]
-    reached = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
-    reached[:, :, 0] = grid.inlet_mask
-    while True:
-        nxt = reached.copy()
-        for open_, (lo, hi) in zip(masks, _SIDES):
-            nxt[hi] |= reached[lo] & open_
-            nxt[lo] |= reached[hi] & open_
-        if np.array_equal(nxt, reached):
-            break
-        reached = nxt
-    if not np.any(reached[:, :, -1] & grid.outlet_mask):
+    *sides, z_open = masks
+    if all(m.all() for m in sides) and grid.inlet_mask.any() and grid.outlet_mask.any():
+        connected = z_open.any(axis=(0, 1)).all()
+    else:
+        reached = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
+        reached[:, :, 0] = grid.inlet_mask
+        while True:
+            nxt = reached.copy()
+            for open_, (lo, hi) in zip(masks, _SIDES):
+                nxt[hi] |= reached[lo] & open_
+                nxt[lo] |= reached[hi] & open_
+            if np.array_equal(nxt, reached):
+                break
+            reached = nxt
+        connected = np.any(reached[:, :, -1] & grid.outlet_mask)
+    if not connected:
         raise DegenerateNetworkError(
             "no open aperture path connects the inlet window to the outlet window")
 
@@ -177,24 +189,13 @@ def _start_field(values, name: str, shape) -> np.ndarray:
     return p
 
 
-def default_relaxation(grid: CellGrid) -> float:
-    """Near-optimal over-relaxation factor for this lattice size.
-
-    Most boundaries are no-flux (only the window cells hold pressures), so
-    the slowest mode spans twice the lattice; hence 2n in the usual formula.
-    """
-    n = max(grid.n_x, grid.n_y, grid.n_z)
-    return 2.0 / (1.0 + math.sin(math.pi / (2 * n)))
-
-
 def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
                     tol: float | None = None, max_iter: int = 100_000, *,
                     initial: np.ndarray | None = None,
                     guess: np.ndarray | None = None,
-                    relaxation: float | None = None,
                     sweep: str = "cg",
                     check_connectivity: bool = True) -> PressureField:
-    """Relax the cell pressures until every inner cell conserves flow.
+    """Solve for the cell pressures at which every inner cell conserves flow.
 
     ``tol`` is an absolute bound on the per-cell net flow [m^3/s]; default is
     1e-6 times the clean-filter reference cell flow.  ``initial`` warm-starts
@@ -202,11 +203,11 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     start, such as a field extrapolated from earlier solves: it replaces
     ``initial`` on the active cells only when its max-norm net-flow residual
     is strictly smaller, and never on window or isolated cells.  ``sweep``
-    selects "cg" (conjugate gradient; fastest, the default and the
-    FilterConfig default), "redblack" (over-relaxation with factor
-    ``relaxation``, vectorised) or "lexicographic" (reference ordering, small
-    grids).  All three converge to the same field and honour the same
-    residual bound.
+    selects "cg" (preconditioned conjugate gradient; the default and the
+    FilterConfig default) or "lexicographic" (scalar Gauss-Seidel in index
+    order, the reference for small grids).  Both converge to the same field
+    and honour the same residual bound.  ``check_connectivity=False`` skips
+    ``check_connected`` for a caller that knows the topology is unchanged.
     """
     if check_connectivity:
         check_connected(grid)
@@ -214,8 +215,8 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
         tol = 1e-6 * reference_cell_flow(grid, p_in, p_out)
     if not tol > 0:
         raise ValueError(f"tol must be positive (m^3/s), got {tol!r}")
-    if relaxation is not None and not 0 < relaxation < 2:
-        raise ValueError(f"relaxation must lie in (0, 2), got {relaxation!r}")
+    if sweep not in ("cg", "lexicographic"):
+        raise ValueError(f"sweep must be 'cg' or 'lexicographic', got {sweep!r}")
 
     n_x, n_y, n_z = grid.n_x, grid.n_y, grid.n_z
     g = conductance_arrays(grid)
@@ -245,30 +246,7 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
 
     if sweep == "lexicographic":
         return _solve_lexicographic(p, g, stencil, den, active, tol, max_iter)
-    if sweep == "cg":
-        return _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter)
-    if sweep != "redblack":
-        raise ValueError(
-            f"sweep must be 'redblack', 'lexicographic' or 'cg', got {sweep!r}")
-
-    omega = default_relaxation(grid) if relaxation is None else float(relaxation)
-    parity = sum(np.indices((n_x, n_y, n_z), sparse=True)) % 2 == 0
-    red = active & parity
-    black = active & ~parity
-    safe_den = np.where(den > 0, den, 1.0)
-
-    check_every = 4
-    for it in range(1, max_iter + 1):
-        for color in (red, black):
-            s = _neighbor_sums(p, stencil, work)
-            p = np.where(color, (1.0 - omega) * p + omega * s / safe_den, p)
-        if it % check_every == 0 or it == max_iter:
-            residual = _residual(p, stencil, den, active, work)
-            if residual <= tol:
-                return PressureField(p, residual, it, g)
-    raise ConvergenceError(
-        f"pressure relaxation stalled: residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iter} sweeps")
+    return _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter)
 
 
 # damped Jacobi weight of the multigrid smoother
@@ -440,8 +418,8 @@ def _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter):
 
     Iterates on ``p`` in place and overwrites ``stencil``, ``den`` and
     ``work``.  The residual vector CG carries is exactly the per-cell net
-    flow, so the stopping rule is the same max-norm bound the relaxation
-    sweeps use.  Floating regions (no path to a window) have balanced
+    flow, so the stopping rule is the same max-norm bound the Gauss-Seidel
+    reference uses.  Floating regions (no path to a window) have balanced
     all-zero equations; a warm start from any converged field leaves them
     untouched.
     """

@@ -127,7 +127,7 @@ class FilterConfig:
     blocking_law: str = "corrected"   # "simple" | "corrected"
     solver_tol: float | None = None   # pressure-solver residual [m^3/s]; None = auto
     solver_max_iter: int = 100_000
-    solver_sweep: str = "cg"          # "cg" | "redblack" | "lexicographic"
+    solver_sweep: str = "cg"          # "cg" | "lexicographic"
     time_limit: float | None = None   # stop the run at this model time [s]
     flow_stop_fraction: float = 1e-6  # stop when total flow drops below this times clean flow
     seal_fraction: float = 1e-2       # aperture seals when radius <= fraction of initial
@@ -166,7 +166,8 @@ class FilterConfig:
         return tuple((int(lo), int(hi)) for lo, hi in win)
 
     def validate(self) -> None:
-        for name in ("L_x", "L_y", "L_z", "mu", "p_grad", "l_particle", "N_particles"):
+        for name in ("L_x", "L_y", "L_z", "mu", "p_grad", "l_particle", "N_particles",
+                     "c0_entrance"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -174,10 +175,11 @@ class FilterConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive ({unit}), got {value!r}")
-        for name in ("n_x", "n_y", "n_z"):
+        for name, least in (("n_x", 2), ("n_y", 2), ("n_z", 2), ("seed", 0),
+                            ("solver_max_iter", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 2):
-                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.p_grad < 0:
             raise ValueError(
                 f"p_grad must be negative (Pa/m), so that liquid flows along +z, "
@@ -217,12 +219,10 @@ class FilterConfig:
             raise ValueError(
                 f"dt must be a positive finite time in s or 'adaptive', got {self.dt!r}")
         for name, words in (("blocking_law", ("simple", "corrected")),
-                            ("solver_sweep", ("cg", "redblack", "lexicographic"))):
+                            ("solver_sweep", ("cg", "lexicographic"))):
             value = getattr(self, name)
             if value not in words:
                 raise ValueError(f"{name} must be one of {', '.join(words)}; got {value!r}")
-        if self.solver_max_iter < 1:
-            raise ValueError(f"solver_max_iter must be >= 1, got {self.solver_max_iter!r}")
         for name, unit in (("solver_tol", "m^3/s"), ("time_limit", "s")):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
@@ -231,8 +231,11 @@ class FilterConfig:
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        given = np.asarray(1 if self.aperture_multiplicity is None
+                           else self.aperture_multiplicity)
         mult = self.multiplicities()
-        if mult.shape != (self.n_z - 1,) or np.any(mult < 1):
+        if not np.issubdtype(given.dtype, np.integer) or mult.shape != (self.n_z - 1,) \
+                or np.any(mult < 1):
             raise ValueError(
                 f"aperture_multiplicity must be one integer >= 1 or n_z - 1 of them")
 

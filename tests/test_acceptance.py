@@ -190,7 +190,7 @@ def test_criterion_5_network_solver_vs_dense():
         fixed[:, :, 0] = grid.inlet_mask
         fixed[:, :, -1] = grid.outlet_mask
         active = ~fixed & (den > 0)
-        for sweep in ("redblack", "lexicographic", "cg"):
+        for sweep in ("lexicographic", "cg"):
             field = solve_pressures(grid, p_in, p_out, tol=tol, sweep=sweep)
             err = np.max(np.abs(np.where(active, field.pressure - want, 0.0))) / 2.0
             worst_p = max(worst_p, float(err))
@@ -214,7 +214,7 @@ def test_criterion_5_network_solver_vs_dense():
 
     ok = worst_p <= 1e-8 and worst_net <= 1.0 and missed == 0
     _report(5, ok,
-            f"100 random closure patterns x 3 sweeps: worst pressure rel err "
+            f"100 random closure patterns x 2 sweeps: worst pressure rel err "
             f"{worst_p:.2e} (tol 1e-8), worst cell imbalance {worst_net:.2f} x tol; "
             f"degeneracy missed on {missed}/100 closed-membrane patterns")
 

@@ -144,7 +144,7 @@ class TestFormatConfig:
             inlet_window=((1, 2), (2, 4)), outlet_window=((2, 3), (1, 1)),
             chemistry=calcium, c0_entrance=4.4e21, dt="adaptive",
             time_limit=3600.0, blocking_law="simple", seed=17,
-            solver_tol=1e-20, solver_max_iter=5000, solver_sweep="redblack",
+            solver_tol=1e-20, solver_max_iter=5000, solver_sweep="lexicographic",
             aperture_multiplicity=(2, 3, 2, 2, 1))
 
     def test_round_trip_with_all_extras(self, all_extras):

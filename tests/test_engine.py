@@ -155,7 +155,6 @@ class TestInitialize:
         assert state.catches.tolist() == [0, 0, 0]
         assert state.time == 0.0
         assert state.clean_flow is None
-        assert state.sides_intact
 
 
 class TestStepMechanics:
@@ -432,12 +431,11 @@ class TestMeanField:
 
     def test_solver_sweeps_agree_on_clean_flow(self, calcium):
         flows = []
-        for sweep in ("cg", "redblack", "lexicographic"):
+        for sweep in ("cg", "lexicographic"):
             cfg = make_config(chemistry=calcium, c0_entrance=4.4e21, dt=10.0,
                               time_limit=10.0, solver_sweep=sweep)
             flows.append(run(cfg).snapshots[0].total_flow)
         assert flows[0] == pytest.approx(flows[1], rel=1e-5)
-        assert flows[0] == pytest.approx(flows[2], rel=1e-5)
 
 
 class TestDepletionFlag:

@@ -145,6 +145,11 @@ class TestValidation:
         ("dt", math.inf, "dt"),
         ("solver_tol", math.inf, "solver_tol"),
         ("time_limit", math.inf, "time_limit"),
+        ("seed", -1, "seed"),
+        ("seed", 1.5, "seed"),
+        ("solver_max_iter", 2.5, "solver_max_iter"),
+        ("c0_entrance", math.inf, "c0_entrance"),
+        ("aperture_multiplicity", (1.5,), "aperture_multiplicity"),
     ])
     def test_rejects_bad_field(self, field, value, fragment):
         cfg = make_config(**{field: value})
