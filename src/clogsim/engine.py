@@ -25,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import _FACET_FAMILIES, ApertureState, CellGrid, FilterConfig, build_grid
-from .hydraulics import (DegenerateNetworkError, FlowField, _flows, flows_from_pressures,
-                         reference_cell_flow, solve_pressures, total_flow)
+from .hydraulics import (DegenerateNetworkError, FlowField, Hierarchy, _flows,
+                         flows_from_pressures, reference_cell_flow, solve_pressures,
+                         total_flow)
 from .sediment import axial_depletion, growth_rate, wall_concentration_profile
 
 BLOCKING_SIMPLE = "simple"
@@ -188,6 +189,8 @@ class SimulationState:
     # previous wall concentrations per aperture family; warm-starts the
     # deposition solve, never affects the converged values
     wall_cache: dict = field(default_factory=dict)
+    # the coarse multigrid levels the step solves share
+    hierarchy: Hierarchy = field(default_factory=Hierarchy)
 
     @property
     def p_out(self) -> float:
@@ -348,7 +351,8 @@ def step(state: SimulationState, dt: float | None = None,
     field_ = solve_pressures(
         grid, 0.0, state.p_out, tol=state.solver_tol,
         max_iter=cfg.solver_max_iter, initial=state.pressures, guess=guess,
-        sweep=cfg.solver_sweep, check_connectivity=state.topology_dirty)
+        sweep=cfg.solver_sweep, check_connectivity=state.topology_dirty,
+        hierarchy=state.hierarchy)
     if state.steps > 0:    # before the first solve, pressures holds the ramp
         # one buffer per run: keeping each step's array a step longer
         # fragments the heap and raised the peak RSS of scenario 1 by 1 MB

@@ -194,7 +194,8 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
                     initial: np.ndarray | None = None,
                     guess: np.ndarray | None = None,
                     sweep: str = "cg",
-                    check_connectivity: bool = True) -> PressureField:
+                    check_connectivity: bool = True,
+                    hierarchy: Hierarchy | None = None) -> PressureField:
     """Solve for the cell pressures at which every inner cell conserves flow.
 
     ``tol`` is an absolute bound on the per-cell net flow [m^3/s]; default is
@@ -208,6 +209,13 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     order, the reference for small grids).  Both converge to the same field
     and honour the same residual bound.  ``check_connectivity=False`` skips
     ``check_connected`` for a caller that knows the topology is unchanged.
+
+    CG's multigrid preconditioner solves its bottom level (at most
+    ``_BOTTOM_SIZE`` unknowns per layer) exactly, by block elimination over
+    the layers.  ``hierarchy`` (a ``Hierarchy``, held by the caller across
+    a sequence of solves on one lattice) lets the solve reuse coarse levels
+    that an earlier solve built; without it, every solve builds its own.
+    Reuse changes the iterations CG needs, never the residual bound.
     """
     if check_connectivity:
         check_connected(grid)
@@ -246,11 +254,20 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
 
     if sweep == "lexicographic":
         return _solve_lexicographic(p, g, stencil, den, active, tol, max_iter)
-    return _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter)
+    return _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy)
 
 
 # damped Jacobi weight of the multigrid smoother
 _SMOOTHING = 2.0 / 3.0
+# coarsening stops at the first level with at most this many unknowns per
+# layer, which is solved exactly
+_BOTTOM_SIZE = 9
+# solves a Hierarchy's coarse levels serve after the one that built them
+_REUSE_LIMIT = 20
+# a bottom block eigenvalue under this, relative to the block's diagonal,
+# counts as zero: rounding reaches about 1e-15, the contrasts between this
+# model's conductances put a real one above 1e-8
+_SINGULAR = 1e-12
 
 
 def _pair_sums(a, axis, out=None):
@@ -325,15 +342,136 @@ def _coarsen(g):
     return _pair_sums(gx[1::2], 1), _pair_sums(gy[:, 1::2], 0), _aggregate(gz)
 
 
+def _coarse_levels(finest, window):
+    """Levels 1 and up under ``finest``, coarsened until a level has at most
+    ``_BOTTOM_SIZE`` unknowns per layer; empty if ``finest`` already has.
+    ``window`` is each active cell's conductance to the window cells."""
+    levels, level = [], finest
+    while level.diag.shape[0] * level.diag.shape[1] > _BOTTOM_SIZE:
+        stencil = _stencil(_coarsen([facets for *_, facets in level.stencil]))
+        window = _aggregate(window)
+        diag = _neighbor_sums(np.ones(window.shape), stencil, np.empty(window.shape))
+        diag += window
+        level = _Level(stencil, diag)
+        levels.append(level)
+    return levels
+
+
+def _block_inverse(block, diag):
+    """Inverse of one layer's Schur complement ``block`` (symmetric positive
+    semidefinite) on its rows with a positive diagonal, zero on the others.
+
+    The block is first scaled by ``diag``, the diagonal of the layer's own
+    operator block.  A Cholesky pivot under ``_SINGULAR`` there marks the
+    block singular, as the rounding left of a floating cluster's null mode
+    does; it then gets ``pinv``'s inverse, over its scaled eigenvalues
+    above ``_SINGULAR``.
+    """
+    rows = np.flatnonzero(np.diag(block) > 0)
+    s = 1.0 / np.sqrt(diag[rows])
+    scaled = block[np.ix_(rows, rows)] * s[:, None] * s
+    try:
+        regular = np.all(np.diag(np.linalg.cholesky(scaled)) ** 2 > _SINGULAR)
+    except np.linalg.LinAlgError:
+        regular = False
+    inverse = np.linalg.inv(scaled) if regular \
+        else np.linalg.pinv(scaled, _SINGULAR, hermitian=True)
+    out = np.zeros_like(block)
+    out[np.ix_(rows, rows)] = inverse * s[:, None] * s
+    return out
+
+
+def _bottom_inverse(level):
+    """Dense inverse of the operator of the bottom ``level``, zero on its
+    rows and columns without an equation, by block elimination over the
+    layers.
+
+    The operator is block tridiagonal: one block of at most ``_BOTTOM_SIZE``
+    unknowns per layer, coupled to the next layer through a diagonal of z
+    conductances ``c``.  Forward elimination inverts each layer's Schur
+    complement, D_k = A_k - c D_{k-1}^-1 c (``_block_inverse``, whose
+    ``pinv`` fallback keeps a floating cluster's null mode out), and
+    substitution on the identity then gives the inverse.  No LAPACK call
+    sees more than one layer's block.  Returns the inverse over the level's
+    flat cell order.
+    """
+    n_a, n_b, n_z = level.diag.shape
+    m = n_a * n_b
+    cells = np.arange(m).reshape(n_a, n_b)
+    blocks = np.zeros((n_z, m, m))
+    diag = level.diag.reshape(m, n_z).T
+    blocks[:, cells.ravel(), cells.ravel()] = diag
+    for (*_, facets), (lo, hi) in zip(level.stencil[:2], _SIDES):
+        a, b = cells[lo[:2]].ravel(), cells[hi[:2]].ravel()
+        blocks[:, a, b] = blocks[:, b, a] = -facets.reshape(-1, n_z).T
+    c = level.stencil[2][3].reshape(m, n_z - 1).T
+    inverse = np.empty_like(blocks)    # of each layer's Schur complement
+    for k in range(n_z):
+        if k:
+            blocks[k] -= c[k - 1][:, None] * inverse[k - 1] * c[k - 1]
+        inverse[k] = _block_inverse(blocks[k], diag[k])
+    # the columns of the identity through L y = e, then D L^T x = y, where
+    # L has the blocks -c D_k^-1 below its diagonal
+    x = np.eye(n_z * m).reshape(n_z, m, n_z * m)
+    for k in range(1, n_z):
+        x[k] += (c[k - 1][:, None] * inverse[k - 1]) @ x[k - 1]
+    x[-1] = inverse[-1] @ x[-1]
+    for k in range(n_z - 2, -1, -1):
+        x[k] = inverse[k] @ (x[k] + c[k][:, None] * x[k + 1])
+    # rows and columns from layer-major to the level's (x, y, z) order
+    return x.reshape(n_z, m, n_z, m).transpose(1, 0, 3, 2).reshape(n_z * m, n_z * m)
+
+
+class Hierarchy:
+    """The coarse multigrid levels of a sequence of pressure solves, held by
+    the caller and passed to each solve (``solve_pressures(...,
+    hierarchy=)``).
+
+    A solve's finest level is always its own operator.  The levels under it
+    and the bottom level's inverse are built by one solve and reused by the
+    next ones while the active cells stay the same, at most
+    ``_REUSE_LIMIT`` times; then, or when the active cells change, they are
+    built again.  Reuse suits a slowly changing sequence of systems, as the
+    deposit shrinking every aperture a little per step: a stale coarse
+    level costs CG iterations only, because the V(1,1) cycle with damped
+    Jacobi smoothing stays symmetric positive definite whatever its coarse
+    correction is.  Only the coarse levels are kept between solves, never
+    the lattice-sized finest one.
+    """
+
+    def __init__(self):
+        self.active = None            # the finest level's active cells at the build
+        self.coarse = []              # levels 1 and up
+        self.bottom_inverse = None
+        self.reuses = 0               # solves served since the build
+
+    def levels_under(self, finest, window):
+        """Levels 1 and up under ``finest`` and the bottom level's inverse:
+        the kept ones if they may serve ``finest``, new ones otherwise."""
+        active = finest.diag > 0
+        if self.coarse and self.reuses < _REUSE_LIMIT \
+                and np.array_equal(active, self.active):
+            self.reuses += 1
+        else:
+            self.coarse = _coarse_levels(finest, window)
+            # with no coarse level, finest is the bottom and nothing is kept
+            self.bottom_inverse = _bottom_inverse((self.coarse or [finest])[-1])
+            self.active, self.reuses = active, 0
+        return self.coarse, self.bottom_inverse
+
+
 class _VCycle:
     """Symmetric V(1,1) multigrid preconditioner over in-layer aggregates.
 
     Level 0 is the pressure system.  Each coarser level joins 2x2 cells (or
     aggregates) of one layer, never two layers; an odd last row or column
-    stays alone.  The coarsest level holds one aggregate per layer and is
-    solved exactly; every other level is smoothed by one damped Jacobi
-    sweep before and one after its coarse correction, which keeps the
-    preconditioner symmetric positive (semi)definite.
+    stays alone.  Coarsening stops at the first level with at most
+    ``_BOTTOM_SIZE`` aggregates per layer (3x3 on a 20x20 layer, 2x2 on a
+    32x32 one), which may be level 0 itself.  That bottom level is solved
+    exactly, through its dense inverse from block elimination over the
+    layers (``_bottom_inverse``); every other level is smoothed by one
+    damped Jacobi sweep before and one after its coarse correction, which
+    keeps the preconditioner symmetric positive (semi)definite.
 
     Every level's operator has all-zero rows and columns on the cells or
     aggregates without an equation.  Prolongation and restriction therefore
@@ -343,36 +481,21 @@ class _VCycle:
     summed fine conductance between two aggregates, over facets whose two
     cells are both active, and a diagonal is the sum of its row's
     conductances plus the aggregate's coupling to the window cells.  A row
-    of an aggregate of isolated or floating cells is therefore exactly zero.
+    of an aggregate of isolated or floating cells is therefore exactly zero,
+    and so are its row and column of the bottom inverse.
 
     ``stencil`` and ``den`` give the finest operator and must already be
     zero off the active cells; ``window`` is each active cell's conductance
     to the window cells.  ``work`` is a lattice-sized buffer that every call
-    overwrites.
+    overwrites.  The levels under the finest come from ``hierarchy`` (kept
+    or rebuilt there), or are built for this cycle alone without one.
     """
 
-    def __init__(self, stencil, den, window, work):
-        self.levels = [_Level(stencil, den, res=work)]
-        diag = den
-        while diag.shape[:2] != (1, 1):
-            stencil = _stencil(_coarsen([facets for *_, facets in stencil]))
-            window = _aggregate(window)
-            diag = _neighbor_sums(np.ones(window.shape), stencil, np.empty(window.shape))
-            diag += window
-            self.levels.append(_Level(stencil, diag))
-        # the coarsest level is the layer system, dense and solved exactly
-        n_z = diag.size
-        self.layer_matrix = np.diag(diag.reshape(-1))
-        k = np.arange(n_z - 1)
-        self.layer_matrix[k, k + 1] = self.layer_matrix[k + 1, k] = -stencil[2][3].reshape(-1)
-        keep = np.ix_(*2 * (np.flatnonzero(diag.reshape(-1) > 0),))
-        coarse = self.layer_matrix[keep]
-        self.layer_inverse = np.zeros((n_z, n_z))    # zero on the rows without an equation
-        try:
-            np.linalg.cholesky(coarse)   # positive definiteness test
-            self.layer_inverse[keep] = np.linalg.inv(coarse)
-        except np.linalg.LinAlgError:
-            self.layer_inverse[keep] = np.linalg.pinv(coarse)
+    def __init__(self, stencil, den, window, work, hierarchy=None):
+        finest = _Level(stencil, den, res=work)
+        coarse, self.bottom_inverse = (hierarchy if hierarchy is not None
+                                       else Hierarchy()).levels_under(finest, window)
+        self.levels = [finest, *coarse]
 
     def __call__(self, r, out):
         """Write the preconditioned ``r`` into ``out``.  ``r`` must vanish
@@ -386,7 +509,7 @@ class _VCycle:
             np.subtract(fine.rhs, fine.res, out=fine.res)
             _pair_sums(_pair_sums(fine.res, 0, out=fine.half), 1, out=coarse.rhs)
         bottom = levels[-1]
-        np.dot(self.layer_inverse, bottom.rhs.reshape(-1), out=bottom.x.reshape(-1))
+        np.dot(self.bottom_inverse, bottom.rhs.reshape(-1), out=bottom.x.reshape(-1))
         for fine, coarse in zip(levels[-2::-1], levels[:0:-1]):
             # coarse correction, then post-smoothing
             _spread_add(coarse.x, fine.x)
@@ -412,9 +535,10 @@ def _restrict_to_active(stencil, den, active, fixed, work):
     return window
 
 
-def _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter):
+def _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy):
     """Conjugate gradient on the pressure system, preconditioned by a
-    multigrid V-cycle over in-layer aggregates (``_VCycle``).
+    multigrid V-cycle over in-layer aggregates (``_VCycle``), whose coarse
+    levels come from ``hierarchy`` if one is given.
 
     Iterates on ``p`` in place and overwrites ``stencil``, ``den`` and
     ``work``.  The residual vector CG carries is exactly the per-cell net
@@ -442,7 +566,7 @@ def _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter):
     residual = max_abs(r)
     if residual <= tol or not np.any(active):
         return result(residual, 0)
-    precondition = _VCycle(stencil, den, window, work)
+    precondition = _VCycle(stencil, den, window, work, hierarchy)
     del window
     q = work     # the V-cycle overwrites it; CG needs it only until r is updated
     z = np.empty_like(p)

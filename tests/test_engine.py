@@ -384,6 +384,34 @@ class TestWarmStart:
             state.pass_prob, pass_probability(state.grid.z_radius, cfg.l_particle))
 
 
+class TestHierarchy:
+    def test_steps_share_the_state_hierarchy(self, calcium, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("hierarchy"))
+            return solve_pressures(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_pressures", recording)
+        state = initialize(scenario1_small(calcium))
+        for _ in range(6):
+            step(state)
+        assert len(calls) == 6 and all(h is state.hierarchy for h in calls)
+        assert state.hierarchy.coarse and state.hierarchy.reuses > 0
+
+    def test_time_limit_solve_builds_its_own(self, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("hierarchy"))
+            return solve_pressures(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "solve_pressures", recording)
+        trace = run(make_config(dt=20000.0, time_limit=6e4, N_particles=5e7))
+        assert trace.stop_reason == "time-limit"
+        assert calls[-1] is None and all(h is not None for h in calls[:-1])
+
+
 class TestConductanceBuilds:
     def test_one_conductance_build_per_step(self, calcium, monkeypatch):
         from clogsim import hydraulics

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from clogsim import hydraulics
-from clogsim.hydraulics import (_SIDES, ConvergenceError, DegenerateNetworkError,
-                                FlowField, _apply, _flows, _neighbor_sums,
-                                _restrict_to_active, _stencil, _VCycle, aperture_flow,
+from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceError,
+                                DegenerateNetworkError, FlowField, Hierarchy, _apply,
+                                _flows, _neighbor_sums, _restrict_to_active, _stencil,
+                                _VCycle, aperture_flow,
                                 cell_net_outflow, check_connected, conductance_arrays,
                                 flows_from_pressures, outlet_flow,
                                 pressure_csv, reference_cell_flow, solve_pressures,
@@ -482,7 +483,9 @@ class TestCsv:
 # Pressure bytes and iteration counts of the solves below (arrays
 # ``<name>_pressure`` and ``<name>_iterations``); a solve without a guess
 # must reproduce them exactly.  The CG entries were captured with the
-# multigrid preconditioner (``_VCycle``).  The lexicographic entries are
+# multigrid preconditioner (``_VCycle``) whose bottom level, at most
+# ``_BOTTOM_SIZE`` unknowns per layer, is inverted by block elimination
+# over the layers.  The lexicographic entries are
 # byte for byte those of the first capture, made before the solver's start
 # selection (``guess``) existed.
 PINNED_SOLVES = DATA_DIR / "pinned_solves.npz"
@@ -718,7 +721,7 @@ def active_system(grid, p_in: float, p_out: float):
     return A[np.ix_(keep, keep)], rhs[keep], active.reshape(shape)
 
 
-def preconditioner(grid):
+def preconditioner(grid, hierarchy=None):
     """The CG preconditioner of ``grid``'s pressure system, built the way
     the solver builds it, with the active mask."""
     g = conductance_arrays(grid)
@@ -731,7 +734,7 @@ def preconditioner(grid):
     active = ~fixed & (den > 0)
     work = np.empty(shape)
     window = _restrict_to_active(stencil, den, active, fixed, work)
-    return _VCycle(stencil, den, window, work), active
+    return _VCycle(stencil, den, window, work, hierarchy), active
 
 
 def level_matrix(level) -> np.ndarray:
@@ -744,6 +747,14 @@ def level_matrix(level) -> np.ndarray:
         out[:, c] = _apply(unit, level.stencil, level.diag, column).ravel()
         unit.flat[c] = 0.0
     return out
+
+
+def shrink_radii(grid, rng, low, high) -> None:
+    """Shrink every aperture by a random factor in [low, high); the active
+    cells stay the same."""
+    for fam in _FACET_FAMILIES:
+        radius = fam.arrays(grid)[1]
+        radius *= rng.uniform(low, high, radius.shape)
 
 
 SHAPES = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (7, 5, 6), (8, 8, 8)]
@@ -812,21 +823,101 @@ class TestMultigrid:
 
     @pytest.mark.parametrize("shape", SHAPES + [(20, 20, 20), (9, 3, 5)])
     def test_coarsest_level_is_the_layer_system(self, shape):
+        # the coarsest (bottom) level is a block system over the layers, the
+        # first level with at most _BOTTOM_SIZE unknowns per layer, and its
+        # inverse is exact on the active unknowns and zero off them
         grid = random_connected_grid(np.random.default_rng(sum(shape)), 0.2, 0.1,
                                      lattice_config(shape))
+        precondition = preconditioner(grid)[0]
+        per_layer = [level.diag.shape[0] * level.diag.shape[1]
+                     for level in precondition.levels]
+        assert per_layer[-1] <= _BOTTOM_SIZE < min(per_layer[:-1])
+        bottom = precondition.levels[-1]
+        assert bottom.diag.shape[2] == shape[2]
+        matrix = level_matrix(bottom)
+        active = bottom.diag.ravel() > 0
+        inverse = precondition.bottom_inverse
+        on = np.ix_(active, active)
+        np.testing.assert_allclose((inverse @ matrix)[on], np.eye(np.count_nonzero(active)),
+                                   rtol=0.0, atol=1e-12)
+        assert np.all(inverse[~active] == 0.0) and np.all(inverse[:, ~active] == 0.0)
+
+    @pytest.mark.parametrize("floating", [True, False])
+    def test_zero_row_stays_zero_in_the_bottom_inverse(self, floating):
+        # on 6^3 level 1 (3x3 per layer) is the bottom; the walled-off 2x2
+        # block is its aggregate (1, 1, 2)
+        grid = holed_grid(np.random.default_rng(3), (6, 6, 6), floating)
         precondition, active = preconditioner(grid)
-        # the layer matrix as the additive two-level preconditioner built it
-        g = conductance_arrays(grid)
-        den = _neighbor_sums(np.ones(shape), _stencil(g), np.empty(shape))
-        act = active.astype(float)
-        den_act = (den * act).sum(axis=(0, 1))
-        gx_intra, gy_intra, gz_cross = ((ga * act[lo] * act[hi]).sum(axis=(0, 1))
-                                        for ga, (lo, hi) in zip(g, _SIDES))
-        want = np.diag(den_act - 2.0 * (gx_intra + gy_intra))
-        k = np.arange(shape[2] - 1)
-        want[k, k + 1] = want[k + 1, k] = -gz_cross
-        np.testing.assert_allclose(precondition.layer_matrix, want, rtol=1e-12, atol=0.0)
-        assert [level.diag.shape for level in precondition.levels][-1] == (1, 1, shape[2])
+        bottom = precondition.levels[-1]
+        assert len(precondition.levels) == 2 and bottom.diag[1, 1, 2] == 0.0
+        row = np.ravel_multi_index((1, 1, 2), bottom.diag.shape)
+        inverse = precondition.bottom_inverse
+        assert np.all(inverse[row] == 0.0) and np.all(inverse[:, row] == 0.0)
+        r = np.where(active, np.random.default_rng(4).standard_normal(active.shape), 0.0)
+        precondition(r, np.empty(r.shape))
+        assert bottom.x[1, 1, 2] == 0.0
+
+    def test_floating_cluster_across_layers_keeps_cg_accurate(self):
+        # a walled-off 2x2x2 box with open facets inside is a floating
+        # cluster of two bottom aggregates coupled in z only: its bottom
+        # block is singular, up to rounding
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            grid = random_connected_grid(rng, 0.15, 0.1, lattice_config((6, 6, 6)))
+            shrink_radii(grid, rng, 0.3, 1.0)
+            wall_off(grid, (2, 2, 2), (4, 4, 4))
+            check_connected(grid)
+            A, rhs, active = active_system(grid, 0.0, -2.0)
+            want = np.zeros(active.shape)
+            want[active] = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            field = solve_pressures(grid, 0.0, -2.0, sweep="cg")
+            connected = window_connected(grid)
+            assert not connected[2, 2, 2] and active[2, 2, 2]
+            err = np.max(np.abs(np.where(connected & active, field.pressure - want, 0.0)))
+            assert err <= 1e-6 * 2.0
+            assert np.all(np.isfinite(field.pressure))
+
+    @pytest.mark.parametrize("shape", [(20, 20, 20), (32, 32, 32)])
+    def test_no_linalg_call_exceeds_one_layer_block(self, shape, monkeypatch):
+        # a LAPACK call on the whole bottom level woke a second BLAS thread;
+        # block elimination keeps every call at one layer's block
+        grid = random_connected_grid(np.random.default_rng(sum(shape)), 0.2, 0.1,
+                                     lattice_config(shape))
+        shapes = []
+        for name in ("cholesky", "inv", "pinv", "eigh", "eigvalsh", "solve", "lstsq",
+                     "svd", "qr", "det", "eig"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        bottom = preconditioner(grid)[0].levels[-1]
+        matrix = level_matrix(bottom)
+        keep = bottom.diag.ravel() > 0
+        assert np.linalg.matrix_rank(matrix[np.ix_(keep, keep)]) == np.count_nonzero(keep)
+        assert shapes and max(max(s) for s in shapes) <= _BOTTOM_SIZE
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 6), (2, 2, 5), (3, 2, 4)])
+    def test_lattice_of_at_most_bottom_size_cells_per_layer(self, shape):
+        # level 0 is the bottom, so the V-cycle is the exact inverse
+        n_x, n_y, n_z = shape
+        rng = np.random.default_rng(sum(shape))
+        config = make_config(L_x=5e-5 * n_x, L_y=5e-5 * n_y, L_z=5e-5 * n_z,
+                             n_x=n_x, n_y=n_y, n_z=n_z, inlet_window=((1, 1), (1, 1)),
+                             outlet_window=((n_x, n_x), (n_y, n_y)))
+        for _ in range(3):
+            grid = build_grid(config)
+            shrink_radii(grid, rng, 0.3, 1.0)
+            assert len(preconditioner(grid)[0].levels) == 1
+            A, rhs, active = active_system(grid, 0.0, -2.0)
+            want = np.zeros(active.shape)
+            want[active] = np.linalg.solve(A, rhs)
+            field = solve_pressures(grid, 0.0, -2.0, sweep="cg")
+            assert field.iterations <= 2
+            err = np.max(np.abs(np.where(active, field.pressure - want, 0.0)))
+            assert err <= 1e-6 * 2.0
 
     def test_non_positive_curvature_reports_where_it_stopped(self, monkeypatch):
         class Zero:
@@ -842,6 +933,84 @@ class TestMultigrid:
                 as err:
             solve_pressures(scenario_grid(), 0.0, -10.0, sweep="cg")
         assert "after" not in str(err.value)
+
+
+class TestHierarchyReuse:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_reused_levels_stay_symmetric_positive(self, shape):
+        rng = np.random.default_rng(11 * sum(shape))
+        grid = holed_grid(rng, shape)
+        hierarchy = Hierarchy()
+        preconditioner(grid, hierarchy)
+        kept = hierarchy.coarse
+        shrink_radii(grid, rng, 0.80, 0.99)
+        precondition, active = preconditioner(grid, hierarchy)
+        assert hierarchy.coarse is kept and hierarchy.reuses == 1
+        assert precondition.levels[1:] == kept
+        # level 0 is the operator of the shrunken radii
+        fresh = preconditioner(grid)[0]
+        assert precondition.levels[0].diag.tobytes() == fresh.levels[0].diag.tobytes()
+        assert precondition.levels[1].diag.tobytes() != fresh.levels[1].diag.tobytes()
+        for _ in range(5):
+            u, v = (np.where(active, rng.standard_normal(active.shape), 0.0)
+                    for _ in range(2))
+            mu, mv = (precondition(w, np.empty(w.shape)) for w in (u, v))
+            uMu, vMv = np.sum(u * mu), np.sum(v * mv)
+            assert uMu > 0 and vMv > 0
+            assert np.sum(u * mv) == pytest.approx(np.sum(v * mu),
+                                                    abs=1e-12 * math.sqrt(uMu * vMv))
+
+    def test_rebuilt_after_the_reuse_limit_and_on_new_active_cells(self):
+        rng = np.random.default_rng(23)
+        grid = guess_grid(n=8)
+        hierarchy = Hierarchy()
+        solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        kept = hierarchy.coarse
+        assert kept and hierarchy.reuses == 0
+        for k in range(_REUSE_LIMIT):
+            shrink_radii(grid, rng, 0.97, 0.99)
+            field = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+            assert field.iterations > 0
+            assert hierarchy.coarse is kept and hierarchy.reuses == k + 1
+        A, rhs, active = active_system(grid, 0.0, -2.0)
+        want = np.zeros(active.shape)
+        want[active] = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        connected = window_connected(grid)
+        err = np.max(np.abs(np.where(connected & active, field.pressure - want, 0.0)))
+        assert err <= 1e-6 * 2.0
+        solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        assert hierarchy.coarse is not kept and hierarchy.reuses == 0
+        kept = hierarchy.coarse
+        solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        assert hierarchy.coarse is kept and hierarchy.reuses == 1
+        # wall off an active cell: the active cells change
+        cells = np.argwhere(active & connected)
+        cell = tuple(int(i) for i in cells[len(cells) // 2])
+        wall_off(grid, cell, tuple(i + 1 for i in cell), inner_open=False)
+        check_connected(grid)
+        solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        assert hierarchy.coarse is not kept and hierarchy.reuses == 0
+        assert not np.array_equal(hierarchy.active, active)
+
+    def test_solve_without_hierarchy_builds_its_own(self, monkeypatch):
+        builds = []
+        build = hydraulics._coarse_levels
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(hydraulics, "_coarse_levels", counting)
+        grid = guess_grid(n=8)
+        first = solve_pressures(grid, 0.0, -2.0)
+        second = solve_pressures(grid, 0.0, -2.0)
+        assert len(builds) == 2
+        assert second.pressure.tobytes() == first.pressure.tobytes()
+        hierarchy = Hierarchy()
+        for _ in range(2):
+            held = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+            assert held.pressure.tobytes() == first.pressure.tobytes()
+        assert len(builds) == 3
 
 
 class TestConductancesOncePerSolve:
