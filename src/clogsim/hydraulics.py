@@ -14,6 +14,11 @@ preconditioned by a multigrid V-cycle over in-layer aggregates
 (production), and a lexicographic Gauss-Seidel loop, the scalar reference
 for small grids.
 
+CG runs in float64: its operator, residual, dot products and max-norm
+stopping rule.  The V-cycle runs in float32 on a copy of the multigrid
+levels scaled by a power of two; the levels themselves, and the bottom
+level's inverse, are built in float64 and cast once per build.
+
 Cells whose apertures are all closed have no equation; their pressure is
 left untouched and carries no flow.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,18 +144,19 @@ def check_connected(grid: CellGrid) -> None:
             "no open aperture path connects the inlet window to the outlet window")
 
 
-def _stencil(g):
+def _stencil(g, dtype=np.float64):
     """Flat conductances for ``_neighbor_sums``: per axis (x, y, z) its
     stride in the flat cell array, the conductance from each flat index to
     the one a stride up (zero off the lattice), a shared scratch view, and
-    the facet conductances as a 3-D view of the same memory.
+    the facet conductances as a 3-D view of the same memory, all of
+    ``dtype``.
     """
     shape = (g[0].shape[0] + 1,) + g[0].shape[1:]
     strides = (shape[1] * shape[2], shape[2], 1)
-    scratch = np.empty(math.prod(shape))
+    scratch = np.empty(math.prod(shape), dtype)
     terms = []
     for ga, s, (lo, _) in zip(g, strides, _SIDES):
-        full = np.zeros(shape)
+        full = np.zeros(shape, dtype)
         full[lo] = ga
         up = full.reshape(-1)[:-s]
         terms.append((s, up, scratch[:up.size], full[lo]))
@@ -215,7 +222,11 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     the layers.  ``hierarchy`` (a ``Hierarchy``, held by the caller across
     a sequence of solves on one lattice) lets the solve reuse coarse levels
     that an earlier solve built; without it, every solve builds its own.
-    Reuse changes the iterations CG needs, never the residual bound.
+    Reuse changes the iterations CG needs, never the residual bound.  CG and
+    its stopping rule run in float64 and the preconditioner in float32,
+    scaled by a power of two so that the result does not depend on the
+    units of ``grid.mu``.  The float32 copy of the finest level and its
+    buffers add nine and a half lattice-sized float32 arrays to a solve.
     """
     if check_connectivity:
         check_connected(grid)
@@ -321,18 +332,28 @@ def _apply(v, stencil, diag, out):
     return out
 
 
-class _Level:
-    """One level of the multigrid hierarchy: its operator (``stencil`` and
-    ``diag``), the damped Jacobi weights and the work buffers."""
+class _Operator(NamedTuple):
+    """One level's operator in float64, as the hierarchy is built: the
+    operator applies as ``_apply(v, stencil, diag, out)``."""
+    stencil: tuple
+    diag: np.ndarray
 
-    def __init__(self, stencil, diag, res=None):
-        self.stencil, self.diag = stencil, diag
-        self.smooth = np.divide(_SMOOTHING, diag, out=np.zeros_like(diag), where=diag > 0)
-        self.half = np.empty(((diag.shape[0] + 1) // 2,) + diag.shape[1:])
-        if res is None:     # a coarse level owns its right-hand side and solution
-            self.res, self.rhs, self.x = (np.empty_like(diag) for _ in range(3))
-        else:               # the finest level borrows the caller's
-            self.res, self.rhs, self.x = res, None, None
+
+class _Level:
+    """One level of the V-cycle in float32: the float64 ``operator`` times
+    ``scale`` (a power of two), its damped Jacobi weights and its own work
+    buffers."""
+
+    def __init__(self, operator, scale):
+        # scaled before the cast, so that no conductance leaves float32's range
+        self.stencil = _stencil([facets * scale for *_, facets in operator.stencil],
+                                np.float32)
+        self.diag = (operator.diag * scale).astype(np.float32)
+        self.smooth = np.divide(_SMOOTHING, self.diag, out=np.zeros_like(self.diag),
+                                where=self.diag > 0)
+        self.half = np.empty(((self.diag.shape[0] + 1) // 2,) + self.diag.shape[1:],
+                             np.float32)
+        self.res, self.rhs, self.x = (np.empty_like(self.diag) for _ in range(3))
 
 
 def _coarsen(g):
@@ -343,16 +364,17 @@ def _coarsen(g):
 
 
 def _coarse_levels(finest, window):
-    """Levels 1 and up under ``finest``, coarsened until a level has at most
-    ``_BOTTOM_SIZE`` unknowns per layer; empty if ``finest`` already has.
-    ``window`` is each active cell's conductance to the window cells."""
+    """The float64 operators of levels 1 and up under the ``_Operator``
+    ``finest``, coarsened until a level has at most ``_BOTTOM_SIZE``
+    unknowns per layer; empty if ``finest`` already has.  ``window`` is each
+    active cell's conductance to the window cells."""
     levels, level = [], finest
     while level.diag.shape[0] * level.diag.shape[1] > _BOTTOM_SIZE:
         stencil = _stencil(_coarsen([facets for *_, facets in level.stencil]))
         window = _aggregate(window)
         diag = _neighbor_sums(np.ones(window.shape), stencil, np.empty(window.shape))
         diag += window
-        level = _Level(stencil, diag)
+        level = _Operator(stencil, diag)
         levels.append(level)
     return levels
 
@@ -382,7 +404,7 @@ def _block_inverse(block, diag):
 
 
 def _bottom_inverse(level):
-    """Dense inverse of the operator of the bottom ``level``, zero on its
+    """Dense inverse of the float64 operator of the bottom ``level``, zero on its
     rows and columns without an equation, by block elimination over the
     layers.
 
@@ -437,27 +459,45 @@ class Hierarchy:
     Jacobi smoothing stays symmetric positive definite whatever its coarse
     correction is.  Only the coarse levels are kept between solves, never
     the lattice-sized finest one.
+
+    A build runs in float64: the coarse operators (``_coarse_levels``) and
+    the bottom inverse (``_bottom_inverse``, whose ``_SINGULAR`` pivot test
+    float32 rounding would break).  Both are then cast to float32 once,
+    scaled by ``scale``, the exact power of two that brings the finest
+    level's largest diagonal into [0.5, 1).  The conductances (about 1e-12
+    m^3/(s Pa) in scenario 1) would leave float32's range under a viscosity
+    2^100 times smaller or larger; scaled, they and the inverse sit in its
+    middle whatever the units, and since scaling by a power of two commutes
+    exactly with rounding, the pressures do not depend on them.  Every
+    solve scales its own float32 finest level by the same ``scale``, so
+    that it stays consistent with the kept coarse levels.
     """
 
     def __init__(self):
         self.active = None            # the finest level's active cells at the build
-        self.coarse = []              # levels 1 and up
-        self.bottom_inverse = None
+        self.scale = None             # the power of two the float32 levels carry
+        self.coarse = []              # float32 levels 1 and up
+        self.bottom_inverse = None    # float32, of the scaled bottom operator
         self.reuses = 0               # solves served since the build
 
     def levels_under(self, finest, window):
-        """Levels 1 and up under ``finest`` and the bottom level's inverse:
-        the kept ones if they may serve ``finest``, new ones otherwise."""
+        """Float32 levels 1 and up under the ``_Operator`` ``finest``, the
+        bottom level's scaled inverse and the scale: the kept ones if they
+        may serve ``finest``, new ones otherwise."""
         active = finest.diag > 0
         if self.coarse and self.reuses < _REUSE_LIMIT \
                 and np.array_equal(active, self.active):
             self.reuses += 1
         else:
-            self.coarse = _coarse_levels(finest, window)
+            coarse = _coarse_levels(finest, window)
             # with no coarse level, finest is the bottom and nothing is kept
-            self.bottom_inverse = _bottom_inverse((self.coarse or [finest])[-1])
+            inverse = _bottom_inverse((coarse or [finest])[-1])
+            self.scale = 2.0 ** -math.frexp(float(finest.diag.max()))[1]
+            self.coarse = [_Level(level, self.scale) for level in coarse]
+            # the inverse of the scaled operator
+            self.bottom_inverse = (inverse / self.scale).astype(np.float32)
             self.active, self.reuses = active, 0
-        return self.coarse, self.bottom_inverse
+        return self.coarse, self.bottom_inverse, self.scale
 
 
 class _VCycle:
@@ -484,24 +524,36 @@ class _VCycle:
     of an aggregate of isolated or floating cells is therefore exactly zero,
     and so are its row and column of the bottom inverse.
 
-    ``stencil`` and ``den`` give the finest operator and must already be
-    zero off the active cells; ``window`` is each active cell's conductance
-    to the window cells.  ``work`` is a lattice-sized buffer that every call
-    overwrites.  The levels under the finest come from ``hierarchy`` (kept
-    or rebuilt there), or are built for this cycle alone without one.
+    The cycle runs in float32 inside CG's float64 iteration: smoothing,
+    restriction, prolongation and the bottom product (an ``sgemv``).  Its
+    operators are the hierarchy's float64 ones times the hierarchy's
+    ``scale`` (a power of two), and it casts ``scale * r`` on the way in.
+    The scaled cycle B' = B / scale then gives B' (scale r) = B r, so its
+    float32 result goes back to float64 as it is.  The finest level's
+    float32 copy (three stencil arrays and their scratch, the diagonal, the
+    Jacobi weights, three work buffers and a half-lattice one) is made for
+    each solve.  The cycle is symmetric up to float32 rounding only, which
+    CG tolerates.
+
+    ``stencil`` and ``den`` give the finest operator in float64 and must
+    already be zero off the active cells; ``window`` is each active cell's
+    conductance to the window cells.  The levels under the finest come from
+    ``hierarchy`` (kept or rebuilt there), or are built for this cycle alone
+    without one.
     """
 
-    def __init__(self, stencil, den, window, work, hierarchy=None):
-        finest = _Level(stencil, den, res=work)
-        coarse, self.bottom_inverse = (hierarchy if hierarchy is not None
-                                       else Hierarchy()).levels_under(finest, window)
-        self.levels = [finest, *coarse]
+    def __init__(self, stencil, den, window, hierarchy=None):
+        finest = _Operator(stencil, den)
+        coarse, self.bottom_inverse, self.scale = (
+            hierarchy if hierarchy is not None else Hierarchy()).levels_under(finest, window)
+        self.levels = [_Level(finest, self.scale), *coarse]
 
     def __call__(self, r, out):
-        """Write the preconditioned ``r`` into ``out``.  ``r`` must vanish
-        off the active cells; ``out`` holds arbitrary finite values there."""
+        """Write the preconditioned float64 ``r`` into the float64 ``out``.
+        ``r`` must vanish off the active cells; ``out`` holds arbitrary
+        finite values there."""
         levels = self.levels
-        levels[0].rhs, levels[0].x = r, out
+        np.multiply(r, self.scale, out=levels[0].rhs)
         for fine, coarse in zip(levels, levels[1:]):
             # pre-smoothing from zero, then restrict the residual
             np.multiply(fine.smooth, fine.rhs, out=fine.x)
@@ -517,6 +569,7 @@ class _VCycle:
             np.subtract(fine.rhs, fine.res, out=fine.res)
             fine.res *= fine.smooth
             fine.x += fine.res
+        out[...] = levels[0].x
         return out
 
 
@@ -566,9 +619,9 @@ def _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy)
     residual = max_abs(r)
     if residual <= tol or not np.any(active):
         return result(residual, 0)
-    precondition = _VCycle(stencil, den, window, work, hierarchy)
+    precondition = _VCycle(stencil, den, window, hierarchy)
     del window
-    q = work     # the V-cycle overwrites it; CG needs it only until r is updated
+    q = work
     z = np.empty_like(p)
     d = precondition(r, np.empty_like(p))
     rho = float(np.dot(r.ravel(), d.ravel()))

@@ -9,8 +9,9 @@ import pytest
 from clogsim import hydraulics
 from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceError,
                                 DegenerateNetworkError, FlowField, Hierarchy, _apply,
-                                _flows, _neighbor_sums, _restrict_to_active, _stencil,
-                                _VCycle, aperture_flow,
+                                _bottom_inverse, _coarse_levels, _flows, _neighbor_sums,
+                                _Operator, _restrict_to_active, _stencil, _VCycle,
+                                aperture_flow,
                                 cell_net_outflow, check_connected, conductance_arrays,
                                 flows_from_pressures, outlet_flow,
                                 pressure_csv, reference_cell_flow, solve_pressures,
@@ -18,6 +19,9 @@ from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceE
 from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig, build_grid
 
 from conftest import DATA_DIR
+
+# the float32 multigrid cycle must neither overflow nor produce NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 SAMPLE_APERTURE_FLOW = 5.561011695935633e-13   # scenario cell, frozen
 
@@ -32,12 +36,17 @@ def make_config(**overrides) -> FilterConfig:
     return FilterConfig(**base)
 
 
-def scenario_grid():
-    return build_grid(FilterConfig(
+def scenario_config() -> FilterConfig:
+    """Scenario 1's lattice and apertures, without particles."""
+    return FilterConfig(
         L_x=1e-3, L_y=1e-3, L_z=1e-3, n_x=20, n_y=20, n_z=20,
         p_grad=-1e4, mu=1e-3, l_particle=2.5e-5, N_particles=0.0,
         r_filter=1.19e-5, r_side=2.5e-5,
-        inlet_window=((6, 14), (6, 14)), outlet_window=((6, 14), (6, 14))))
+        inlet_window=((6, 14), (6, 14)), outlet_window=((6, 14), (6, 14)))
+
+
+def scenario_grid():
+    return build_grid(scenario_config())
 
 
 # Dense oracle: assemble the full linear system from the grid arrays with
@@ -483,9 +492,9 @@ class TestCsv:
 # Pressure bytes and iteration counts of the solves below (arrays
 # ``<name>_pressure`` and ``<name>_iterations``); a solve without a guess
 # must reproduce them exactly.  The CG entries were captured with the
-# multigrid preconditioner (``_VCycle``) whose bottom level, at most
-# ``_BOTTOM_SIZE`` unknowns per layer, is inverted by block elimination
-# over the layers.  The lexicographic entries are
+# float32 multigrid preconditioner (``_VCycle``) whose bottom level, at
+# most ``_BOTTOM_SIZE`` unknowns per layer, is inverted in float64 by block
+# elimination over the layers.  The lexicographic entries are
 # byte for byte those of the first capture, made before the solver's start
 # selection (``guess``) existed.
 PINNED_SOLVES = DATA_DIR / "pinned_solves.npz"
@@ -721,9 +730,10 @@ def active_system(grid, p_in: float, p_out: float):
     return A[np.ix_(keep, keep)], rhs[keep], active.reshape(shape)
 
 
-def preconditioner(grid, hierarchy=None):
-    """The CG preconditioner of ``grid``'s pressure system, built the way
-    the solver builds it, with the active mask."""
+def restricted_system(grid):
+    """``grid``'s finest operator restricted to the active cells, the way
+    the solver builds it: stencil, diagonal, window conductances and the
+    active mask."""
     g = conductance_arrays(grid)
     stencil = _stencil(g)
     shape = (grid.n_x, grid.n_y, grid.n_z)
@@ -732,9 +742,36 @@ def preconditioner(grid, hierarchy=None):
     fixed[:, :, 0] = grid.inlet_mask
     fixed[:, :, -1] |= grid.outlet_mask
     active = ~fixed & (den > 0)
-    work = np.empty(shape)
-    window = _restrict_to_active(stencil, den, active, fixed, work)
-    return _VCycle(stencil, den, window, work, hierarchy), active
+    window = _restrict_to_active(stencil, den, active, fixed, np.empty(shape))
+    return stencil, den, window, active
+
+
+def preconditioner(grid, hierarchy=None):
+    """The CG preconditioner of ``grid``'s pressure system (the float32
+    V-cycle), built the way the solver builds it, with the active mask."""
+    stencil, den, window, active = restricted_system(grid)
+    return _VCycle(stencil, den, window, hierarchy), active
+
+
+def float64_build(grid):
+    """The float64 build of ``grid``'s hierarchy, before its cast to
+    float32: the operators of levels 0 and up and the bottom inverse."""
+    stencil, den, window, _ = restricted_system(grid)
+    finest = _Operator(stencil, den)
+    levels = [finest, *_coarse_levels(finest, window)]
+    return levels, _bottom_inverse(levels[-1])
+
+
+def assert_symmetric_positive(precondition, active, rng):
+    """u.Mv = v.Mu on random active vectors, to float32 rounding, and u.Mu > 0."""
+    for _ in range(5):
+        u, v = (np.where(active, rng.standard_normal(active.shape), 0.0)
+                for _ in range(2))
+        mu, mv = (precondition(w, np.empty(w.shape)) for w in (u, v))
+        uMu, vMv = np.sum(u * mu), np.sum(v * mv)
+        assert uMu > 0 and vMv > 0
+        assert np.sum(u * mv) == pytest.approx(
+            np.sum(v * mu), abs=16 * np.finfo(np.float32).eps * math.sqrt(uMu * vMv))
 
 
 def level_matrix(level) -> np.ndarray:
@@ -787,31 +824,24 @@ class TestMultigrid:
     def test_preconditioner_is_symmetric_and_positive(self, shape):
         rng = np.random.default_rng(7 * sum(shape))
         precondition, active = preconditioner(holed_grid(rng, shape))
-        for _ in range(5):
-            u, v = (np.where(active, rng.standard_normal(active.shape), 0.0)
-                    for _ in range(2))
-            mu, mv = (precondition(w, np.empty(w.shape)) for w in (u, v))
-            uMu, vMv = np.sum(u * mu), np.sum(v * mv)
-            assert uMu > 0 and vMv > 0
-            assert np.sum(u * mv) == pytest.approx(np.sum(v * mu),
-                                                    abs=1e-12 * math.sqrt(uMu * vMv))
+        assert_symmetric_positive(precondition, active, rng)
 
     @pytest.mark.parametrize("floating", [True, False])
     def test_isolated_or_floating_aggregate_has_zero_row(self, floating):
         grid = holed_grid(np.random.default_rng(3), (6, 6, 6), floating)
-        precondition, active = preconditioner(grid)
-        level = precondition.levels[1]
+        level = float64_build(grid)[0][1]
         row = np.ravel_multi_index((1, 1, 2), level.diag.shape)
         matrix = level_matrix(level)
         assert level.diag[1, 1, 2] == 0.0
         assert np.all(matrix[row] == 0.0) and np.all(matrix[:, row] == 0.0)
+        precondition, active = preconditioner(grid)
         r = np.where(active, np.random.default_rng(4).standard_normal(active.shape), 0.0)
         assert np.all(np.isfinite(precondition(r, np.empty(r.shape))))
 
     @pytest.mark.parametrize("shape", SHAPES + [(9, 3, 5)])
     def test_levels_are_galerkin_products(self, shape):
         grid = holed_grid(np.random.default_rng(5 * sum(shape)), shape)
-        levels = preconditioner(grid)[0].levels
+        levels = float64_build(grid)[0]
         for fine, coarse in zip(levels, levels[1:]):
             x, y, z = np.indices(fine.diag.shape)
             agg = np.ravel_multi_index((x // 2, y // 2, z), coarse.diag.shape).ravel()
@@ -828,15 +858,13 @@ class TestMultigrid:
         # inverse is exact on the active unknowns and zero off them
         grid = random_connected_grid(np.random.default_rng(sum(shape)), 0.2, 0.1,
                                      lattice_config(shape))
-        precondition = preconditioner(grid)[0]
-        per_layer = [level.diag.shape[0] * level.diag.shape[1]
-                     for level in precondition.levels]
+        levels, inverse = float64_build(grid)
+        per_layer = [level.diag.shape[0] * level.diag.shape[1] for level in levels]
         assert per_layer[-1] <= _BOTTOM_SIZE < min(per_layer[:-1])
-        bottom = precondition.levels[-1]
+        bottom = levels[-1]
         assert bottom.diag.shape[2] == shape[2]
         matrix = level_matrix(bottom)
         active = bottom.diag.ravel() > 0
-        inverse = precondition.bottom_inverse
         on = np.ix_(active, active)
         np.testing.assert_allclose((inverse @ matrix)[on], np.eye(np.count_nonzero(active)),
                                    rtol=0.0, atol=1e-12)
@@ -847,12 +875,13 @@ class TestMultigrid:
         # on 6^3 level 1 (3x3 per layer) is the bottom; the walled-off 2x2
         # block is its aggregate (1, 1, 2)
         grid = holed_grid(np.random.default_rng(3), (6, 6, 6), floating)
+        levels, inverse = float64_build(grid)
+        assert len(levels) == 2 and levels[-1].diag[1, 1, 2] == 0.0
+        row = np.ravel_multi_index((1, 1, 2), levels[-1].diag.shape)
+        assert np.all(inverse[row] == 0.0) and np.all(inverse[:, row] == 0.0)
+        # and so in the float32 cycle
         precondition, active = preconditioner(grid)
         bottom = precondition.levels[-1]
-        assert len(precondition.levels) == 2 and bottom.diag[1, 1, 2] == 0.0
-        row = np.ravel_multi_index((1, 1, 2), bottom.diag.shape)
-        inverse = precondition.bottom_inverse
-        assert np.all(inverse[row] == 0.0) and np.all(inverse[:, row] == 0.0)
         r = np.where(active, np.random.default_rng(4).standard_normal(active.shape), 0.0)
         precondition(r, np.empty(r.shape))
         assert bottom.x[1, 1, 2] == 0.0
@@ -893,7 +922,7 @@ class TestMultigrid:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recording)
-        bottom = preconditioner(grid)[0].levels[-1]
+        bottom = float64_build(grid)[0][-1]
         matrix = level_matrix(bottom)
         keep = bottom.diag.ravel() > 0
         assert np.linalg.matrix_rank(matrix[np.ix_(keep, keep)]) == np.count_nonzero(keep)
@@ -918,6 +947,21 @@ class TestMultigrid:
             assert field.iterations <= 2
             err = np.max(np.abs(np.where(active, field.pressure - want, 0.0)))
             assert err <= 1e-6 * 2.0
+
+    def test_pressures_do_not_depend_on_the_scale_of_mu(self):
+        # mu times 2^k scales every conductance, residual and tol by 2^-k
+        # exactly; the hierarchy's power-of-two scale undoes it before the
+        # float32 cast, so the cycle neither underflows nor overflows
+        grid = random_connected_grid(np.random.default_rng(30), 0.3, 0.3,
+                                     scenario_config())
+        want = solve_pressures(grid, 0.0, -2.0)
+        assert want.iterations > 0
+        mu = grid.mu
+        for k in (-100, -60, 60, 100, 120):
+            grid.mu = mu * 2.0 ** k
+            got = solve_pressures(grid, 0.0, -2.0)
+            assert got.pressure.tobytes() == want.pressure.tobytes(), k
+            assert got.iterations == want.iterations, k
 
     def test_non_positive_curvature_reports_where_it_stopped(self, monkeypatch):
         class Zero:
@@ -947,18 +991,16 @@ class TestHierarchyReuse:
         precondition, active = preconditioner(grid, hierarchy)
         assert hierarchy.coarse is kept and hierarchy.reuses == 1
         assert precondition.levels[1:] == kept
-        # level 0 is the operator of the shrunken radii
+        # level 0 is the operator of the shrunken radii; a fresh build may
+        # pick another scale, and dividing by it is exact
         fresh = preconditioner(grid)[0]
-        assert precondition.levels[0].diag.tobytes() == fresh.levels[0].diag.tobytes()
-        assert precondition.levels[1].diag.tobytes() != fresh.levels[1].diag.tobytes()
-        for _ in range(5):
-            u, v = (np.where(active, rng.standard_normal(active.shape), 0.0)
-                    for _ in range(2))
-            mu, mv = (precondition(w, np.empty(w.shape)) for w in (u, v))
-            uMu, vMv = np.sum(u * mu), np.sum(v * mv)
-            assert uMu > 0 and vMv > 0
-            assert np.sum(u * mv) == pytest.approx(np.sum(v * mu),
-                                                    abs=1e-12 * math.sqrt(uMu * vMv))
+
+        def unscaled(cycle, k):
+            return (cycle.levels[k].diag / cycle.scale).tobytes()
+
+        assert unscaled(precondition, 0) == unscaled(fresh, 0)
+        assert unscaled(precondition, 1) != unscaled(fresh, 1)
+        assert_symmetric_positive(precondition, active, rng)
 
     def test_rebuilt_after_the_reuse_limit_and_on_new_active_cells(self):
         rng = np.random.default_rng(23)
