@@ -15,6 +15,19 @@ F dt N particle arrivals expected in a step, the simple per-step capture
 law is 1 - q^(F dt N); the corrected law rescales it so the expected
 number of captures in a membrane matches the arrival-limited exponential
 rate.
+
+Bookkeeping:  the state keeps, per facet family, a compact table of its
+open facets in flat index order: their indices, seal radii and previous
+wall concentrations, and for the filtering family each facet's membrane,
+open sub-aperture count and pass probability.  A step computes radius,
+speed, wall concentration, shrink rate, shrink cap, deposit and seal test
+once on these arrays, and the membranes' open weights, catch hazard and
+state counts once per step.  The tables and the state counts are rebuilt
+from the grid only at the start of a step that follows a topology change
+(``topology_dirty``: a facet blocked or sealed); in between, captures
+update the sub-aperture counts in place.  A caller that edits the grid
+between steps sets ``topology_dirty``, as it must for the connectivity
+check anyway.
 """
 
 from __future__ import annotations
@@ -88,20 +101,20 @@ def step_blocking_probability(pass_prob, flow, concentration, time_step: float,
     if law == BLOCKING_CORRECTED:
         if layer_stats is None:
             raise ValueError("corrected law needs layer_stats")
-        p = _corrected(p, concentration, time_step, layer_stats)
+        p = np.clip(p * _corrected_scale(concentration, time_step, layer_stats), 0.0, 1.0)
     elif law != BLOCKING_SIMPLE:
         raise ValueError(f"law must be 'simple' or 'corrected', got {law!r}")
     return float(p) if np.isscalar(pass_prob) and np.isscalar(flow) else p
 
 
-def _corrected(p_simple, concentration, time_step: float, layer_stats: LayerStats):
-    """The corrected law's capture probability from the simple law's."""
+def _corrected_scale(concentration, time_step: float, layer_stats: LayerStats):
+    """Factor by which the corrected law multiplies the simple law's
+    probability, before the result is clipped to [0, 1]."""
     mean_catch = np.asarray(layer_stats.mean_catch_flow, dtype=float)
     mean_simple = np.asarray(layer_stats.mean_simple_probability, dtype=float)
     expected = -np.expm1(-np.asarray(concentration) * mean_catch * time_step)
     live = mean_simple > 0.0
-    scale = np.where(live, expected / np.where(live, mean_simple, 1.0), 0.0)
-    return np.clip(p_simple * scale, 0.0, 1.0)
+    return np.where(live, expected / np.where(live, mean_simple, 1.0), 0.0)
 
 
 def layer_concentrations(inlet_concentration: float, mean_pass: Sequence[float]) -> np.ndarray:
@@ -167,6 +180,21 @@ class SimulationTrace:
 
 
 @dataclass(eq=False)
+class _OpenFacets:
+    """The open facets of one family, in flat index order: the compact
+    arrays a step computes on.  Rebuilt from the grid after a step that
+    closed a facet; in between, captures update ``weights`` in place."""
+
+    index: np.ndarray          # flat indices into the family's arrays
+    seal_radius: np.ndarray    # radius at or under which each facet seals
+    wall: np.ndarray | None = None       # previous wall concentrations
+    # filtering families only
+    membrane: np.ndarray | None = None   # membrane of each facet
+    weights: np.ndarray | None = None    # open sub-apertures, zero once closed
+    pass_prob: np.ndarray | None = None  # pass probability of the current radii
+
+
+@dataclass(eq=False)
 class SimulationState:
     config: FilterConfig
     grid: CellGrid
@@ -186,9 +214,14 @@ class SimulationState:
     prev_pressures: np.ndarray | None = None
     prev_dt: float | None = None
     trace: list[TraceSnapshot] = field(default_factory=list)
-    # previous wall concentrations per aperture family; warm-starts the
-    # deposition solve, never affects the converged values
-    wall_cache: dict = field(default_factory=dict)
+    # per facet family, in _FACET_FAMILIES order, its open facets; their wall
+    # concentrations warm-start the deposition solve, never affect its result
+    open_facets: tuple[_OpenFacets, ...] = ()
+    # per membrane: (open, blocked, sealed) facet counts, and open sub-apertures
+    membrane_counts: tuple[np.ndarray, ...] = ()
+    open_weights: np.ndarray | None = None
+    # the cavity's previous wall concentration, the depletion solve's warm start
+    cavity_wall: float | None = None
     # the coarse multigrid levels the step solves share
     hierarchy: Hierarchy = field(default_factory=Hierarchy)
 
@@ -197,23 +230,50 @@ class SimulationState:
         return self.config.p_grad * self.config.L_z
 
 
-def _open_weights(grid: CellGrid):
-    """Open sub-aperture counts per membrane facet and their per-membrane sums."""
-    w = np.where(grid.z_state == ApertureState.OPEN, grid.z_open_count, 0)
-    return w, w.sum(axis=(0, 1))
+def _index_open_facets(state: SimulationState) -> None:
+    """Rebuild the open-facet tables and the membrane counts from the grid."""
+    grid = state.grid
+    tables = []
+    for fam, old in zip(_FACET_FAMILIES, state.open_facets or (None,) * len(_FACET_FAMILIES)):
+        radius0, _, _, counts = fam.arrays(grid)
+        index = np.flatnonzero(fam.open_mask(grid))
+        table = _OpenFacets(index, state.config.seal_fraction * radius0.take(index))
+        if old is not None and old.wall is not None:
+            # a facet that was not open at the last step has no previous
+            # value; from zero the warm solve starts mid-channel
+            wall = np.zeros(radius0.size)
+            wall[old.index] = old.wall
+            table.wall = wall[index]
+        if fam.filtering:
+            table.membrane = index % grid.n_membranes
+            table.weights = counts.take(index)
+            table.pass_prob = state.pass_prob.take(index)
+        tables.append(table)
+    state.open_facets = tuple(tables)
+    state.membrane_counts = grid.membrane_state_counts()
+    z = tables[0]
+    state.open_weights = np.bincount(z.membrane, z.weights, minlength=grid.n_membranes)
 
 
-def _pass_and_concentration(config: FilterConfig, grid: CellGrid):
-    """Pass probability of every filtering facet and the layer concentrations
-    that the membranes' mean pass over their open sub-apertures gives.
-    """
+def _filter_pass(config: FilterConfig, grid: CellGrid) -> np.ndarray:
+    """Pass probability of every filtering facet at its current radius."""
     if config.l_particle > 0:
-        q = pass_probability(grid.z_radius, config.l_particle)
-    else:
-        q = np.ones_like(grid.z_radius)
-    w, wt = _open_weights(grid)
-    mean_pass = np.where(wt > 0, (w * q).sum(axis=(0, 1)) / np.maximum(wt, 1), 0.0)
-    return q, layer_concentrations(config.N_particles, mean_pass)
+        return pass_probability(grid.z_radius, config.l_particle)
+    return np.ones_like(grid.z_radius)
+
+
+def _refresh_concentration(state: SimulationState) -> None:
+    """After the radii or the open weights changed: the open facets' pass
+    probabilities, the open weights per membrane, and the layer
+    concentrations that the membranes' mean pass over them gives."""
+    m = state.grid.n_membranes
+    z = state.open_facets[0]
+    z.pass_prob = state.pass_prob.take(z.index)
+    wt = np.bincount(z.membrane, z.weights, minlength=m)
+    mean_pass = np.where(wt > 0, np.bincount(z.membrane, z.weights * z.pass_prob, minlength=m)
+                         / np.maximum(wt, 1), 0.0)
+    state.open_weights = wt
+    state.layer_concentration = layer_concentrations(state.config.N_particles, mean_pass)
 
 
 def initialize(config: FilterConfig) -> SimulationState:
@@ -223,93 +283,88 @@ def initialize(config: FilterConfig) -> SimulationState:
         else 1e-6 * reference_cell_flow(grid, 0.0, p_out)
     ramp = np.linspace(0.0, p_out, config.n_z)
     pressures = np.broadcast_to(ramp, (config.n_x, config.n_y, config.n_z)).copy()
-    q, conc = _pass_and_concentration(config, grid)
-    return SimulationState(
+    state = SimulationState(
         config=config, grid=grid, pressures=pressures,
-        layer_concentration=conc, pass_prob=q,
+        layer_concentration=None, pass_prob=_filter_pass(config, grid),
         catches=np.zeros(config.n_z - 1, dtype=np.int64),
         time=0.0, steps=0,
         rng=np.random.default_rng(config.seed),
         solver_tol=tol,
     )
+    _index_open_facets(state)
+    _refresh_concentration(state)
+    return state
 
 
-def _aperture_kinetics(state: SimulationState, flows: FlowField):
-    """Wall concentration, shrink rate and centreline speed per open aperture.
-
-    Returns {family: (open_mask, rate, v0)} with full-shape arrays, zeros on
-    closed facets.  Dead branches (zero flow) run diffusion-limited, so their
-    deposit still grows.
+def _aperture_kinetics(state: SimulationState, flows: FlowField, f_sub: np.ndarray):
+    """Radius, shrink rate and centreline speed of the open facets, one
+    (radius, rate, speed) triple of compact arrays per family; the filtering
+    family's flow is ``f_sub``, per sub-aperture.  Dead branches (zero flow)
+    run diffusion-limited, so their deposit still grows.
     """
     chem = state.config.chemistry
-    grid = state.grid
     c0 = state.config.c0_entrance
-    out = {}
     flow_by_axis = (flows.flow_x, flows.flow_y, flows.flow_z)
-    for fam in _FACET_FAMILIES:
-        _, radius, _, counts = fam.arrays(grid)
-        flow = flow_by_axis[fam.axis]
-        open_mask = fam.open_mask(grid)
-        rate = np.zeros_like(radius)
-        v0 = np.zeros_like(radius)
-        if chem is not None and np.any(open_mask):
-            r = radius[open_mask]
-            f = np.abs(flow[open_mask])
-            if fam.filtering:
-                f = f / counts[open_mask]
-            speed = 2.0 * f / (np.pi * r * r)
-            cached = state.wall_cache.get(fam.name)
-            guess = cached[open_mask] if cached is not None else None
-            c1 = wall_concentration_profile(chem, r, c0, speed, guess=guess)
-            rate[open_mask] = growth_rate(chem, c1)
-            v0[open_mask] = speed
-            store = np.zeros_like(radius)
-            store[open_mask] = c1
-            state.wall_cache[fam.name] = store
-        out[fam.name] = (open_mask, rate, v0)
+    out = []
+    for fam, table in zip(_FACET_FAMILIES, state.open_facets):
+        r = fam.arrays(state.grid)[1].take(table.index)
+        f = f_sub if fam.filtering else np.abs(flow_by_axis[fam.axis].take(table.index))
+        speed = 2.0 * f / (np.pi * r * r)
+        rate = r
+        if r.size:
+            table.wall = wall_concentration_profile(chem, r, c0, speed, guess=table.wall)
+            rate = growth_rate(chem, table.wall)
+        out.append((r, rate, speed))
     return out
 
 
-def _membrane_stats(state: SimulationState, flows: FlowField):
-    """Capture inputs for all membranes: (q, per-sub flow, open weights, sums).
-
-    Full (n_x, n_y, m) arrays; zeros on closed facets.  None when no particle
-    load is configured.
-    """
-    cfg = state.config
-    if cfg.N_particles <= 0 or cfg.l_particle <= 0:
-        return None
-    grid = state.grid
-    w, wt = _open_weights(grid)
-    if not wt.any():
-        return None
-    f_sub = np.where(w > 0, np.abs(flows.flow_z) / np.maximum(w, 1), 0.0)
-    return state.pass_prob, f_sub, w, wt
-
-
-def _adaptive_dt(state: SimulationState, prep, kinetics) -> float:
+def _adaptive_dt(state: SimulationState, catch_flow, kinetics) -> float:
+    """The largest step within the capture and the shrink budgets; inf when
+    neither applies.  ``catch_flow`` is each membrane's sum of w (1 - q) f_sub."""
     caps = []
-    if prep is not None:
-        q, f_sub, w, wt = prep
-        conc = state.layer_concentration[:state.grid.n_membranes]
-        hazard = conc * (w * (1.0 - q) * f_sub).sum(axis=(0, 1))
+    if catch_flow is not None:
+        hazard = state.layer_concentration[:state.grid.n_membranes] * catch_flow
         live = hazard > 0
         if live.any():
-            caps.append(_BLOCK_FRACTION * float((wt[live] / hazard[live]).min()))
-    if state.config.chemistry is not None:
-        for fam in _FACET_FAMILIES:
-            open_mask, rate, _ = kinetics[fam.name]
-            _, radius, _, _ = fam.arrays(state.grid)
-            busy = open_mask & (rate > 0)
-            if np.any(busy):
-                caps.append(_SHRINK_FRACTION * float(np.min(radius[busy] / rate[busy])))
+            caps.append(_BLOCK_FRACTION * float((state.open_weights[live] / hazard[live]).min()))
+    for r, rate, _ in kinetics:
+        busy = rate > 0
+        if busy.all():
+            if r.size:
+                caps.append(_SHRINK_FRACTION * float(np.min(r / rate)))
+        elif busy.any():
+            caps.append(_SHRINK_FRACTION * float(np.min(r[busy] / rate[busy])))
     return min(caps) if caps else np.inf
 
 
-def _record(state: SimulationState, dt: float, total: float, warning: bool) -> None:
-    counts = (*state.grid.membrane_state_counts(), state.catches)
+def _record(state: SimulationState, dt: float, total: float, warning: bool,
+            counts=None) -> None:
+    """Append a trace row; ``counts`` defaults to the grid's current state counts."""
+    counts = (*(counts or state.grid.membrane_state_counts()), state.catches)
     state.trace.append(TraceSnapshot(
         state.time, dt, total, *(tuple(int(v) for v in group) for group in counts), warning))
+
+
+def _first_order_wall(chem, radius: float, c0: float, v0: float, guess: float):
+    """``wall_concentration_profile(chem, radius, c0, v0, guess=[guess])[0]``
+    for one order-1 channel, in Python floats: the same operations in the
+    same order, so the same value.  None where that code falls back to its
+    bracketed solve.
+    """
+    k, D = chem.rate_constant, chem.diffusivity
+    c_slow = D * c0 / (k * radius + D)
+    if not v0 > k * c_slow / c0:
+        return c_slow
+    a = k * radius / D
+    b = k / v0
+    y = min(max((c0 / guess - 1.0) / a if guess > 0 else 0.5, 0.0), 1.0)
+    a4, a3 = 4.0 * a - 2.0, 3.0 * a
+    for _ in range(4):
+        resid = y * (2.0 - y) * (a * y + 1.0) - b
+        y = min(max(y - resid / (2.0 + a4 * y - a3 * y * y), 0.0), 1.0)
+    if abs(y * (2.0 - y) * (a * y + 1.0) - b) > 1e-10 * max(b, 1.0):
+        return None
+    return c0 / (a * y + 1.0)
 
 
 def _depletion_warning(state: SimulationState, kinetics) -> bool:
@@ -317,16 +372,77 @@ def _depletion_warning(state: SimulationState, kinetics) -> bool:
     if chem is None:
         return False
     cfg = state.config
-    open_mask, _, v0 = kinetics["z"]
-    speed = float(v0[open_mask].mean()) if np.any(open_mask) else 0.0
+    z_speed = kinetics[0][2]
+    speed = float(z_speed.mean()) if z_speed.size else 0.0
     cavity = (cfg.h_x + cfg.h_y + cfg.h_z) / 3.0
-    prev = state.wall_cache.get("cavity")
-    c1 = float(wall_concentration_profile(chem, cavity, cfg.c0_entrance, speed,
-                                          guess=prev)[0])
-    state.wall_cache["cavity"] = np.array([c1])
+    prev = state.cavity_wall
+    c1 = None
+    if prev is not None and chem.reaction_order == 1:
+        c1 = _first_order_wall(chem, cavity, cfg.c0_entrance, speed, prev)
+    if c1 is None:
+        c1 = float(wall_concentration_profile(
+            chem, cavity, cfg.c0_entrance, speed,
+            guess=None if prev is None else np.array([prev]))[0])
+    state.cavity_wall = c1
     est = axial_depletion(chem, cavity, cfg.c0_entrance, c1, speed, cfg.L_z,
                           threshold=cfg.depletion_threshold)
     return not est.negligible
+
+
+def _capture(state: SimulationState, f_sub, catch_flow, dt: float, rng) -> bool:
+    """Capture draws, all membranes at once, against the pre-step
+    concentrations; True when a facet lost its last sub-aperture.  Draws run
+    only where p > 0 (every open facet has w > 0): numpy draws nothing for
+    p = 0, so the random stream is that of a draw over every facet."""
+    grid = state.grid
+    z = state.open_facets[0]
+    conc = state.layer_concentration[:grid.n_membranes]
+    p = 1.0 - z.pass_prob ** (f_sub * dt * conc.take(z.membrane))
+    if state.config.blocking_law == BLOCKING_CORRECTED:
+        denom = np.maximum(state.open_weights, 1)
+        scale = _corrected_scale(conc, dt, LayerStats(
+            mean_catch_flow=catch_flow / denom,
+            mean_simple_probability=np.bincount(
+                z.membrane, z.weights * p, minlength=grid.n_membranes) / denom))
+        p = np.clip(p * scale.take(z.membrane), 0.0, 1.0)
+    drawn = np.flatnonzero(p > 0)
+    hits = rng.binomial(z.weights.take(drawn), p.take(drawn))
+    nonzero = hits > 0
+    if not nonzero.any():
+        return False
+    hit, hits = drawn[nonzero], hits[nonzero]
+    z.weights[hit] -= hits
+    grid.z_open_count.put(z.index[hit], grid.z_open_count.take(z.index[hit]) - hits)
+    np.add.at(state.catches, z.membrane[hit], hits)
+    exhausted = hit[z.weights[hit] == 0]
+    if not exhausted.size:
+        return False
+    grid.z_state.put(z.index[exhausted], ApertureState.PARTICLE_BLOCKED)
+    state.topology_dirty = True
+    return True
+
+
+def _deposit(state: SimulationState, kinetics, dt: float, blocked: bool) -> None:
+    """Deposit growth on whatever is still open, then the seal test.
+    ``blocked``: a capture closed a filtering facet this step, which keeps its
+    radius."""
+    grid = state.grid
+    for fam, table, (r, rate, _) in zip(_FACET_FAMILIES, state.open_facets, kinetics):
+        if not r.size:
+            continue
+        _, radius, st, _ = fam.arrays(grid)
+        shrunk = np.maximum(r - rate * dt, 0.0)
+        sealing = shrunk <= table.seal_radius
+        if fam.filtering and blocked:
+            closed = table.weights == 0
+            shrunk[closed] = r[closed]
+            sealing &= ~closed
+        radius.put(table.index, shrunk)
+        if sealing.any():
+            st.put(table.index[sealing], ApertureState.SEDIMENT_SEALED)
+            state.topology_dirty = True
+            if fam.filtering:
+                table.weights[sealing] = 0
 
 
 def step(state: SimulationState, dt: float | None = None,
@@ -342,6 +458,9 @@ def step(state: SimulationState, dt: float | None = None,
     chem = cfg.chemistry
     rng = rng if rng is not None else state.rng
 
+    dirty = state.topology_dirty
+    if dirty:
+        _index_open_facets(state)
     guess = None
     if state.prev_pressures is not None:
         # p_n + (p_n - p_{n-1}) dt_n / dt_{n-1}, built in one array
@@ -351,7 +470,7 @@ def step(state: SimulationState, dt: float | None = None,
     field_ = solve_pressures(
         grid, 0.0, state.p_out, tol=state.solver_tol,
         max_iter=cfg.solver_max_iter, initial=state.pressures, guess=guess,
-        sweep=cfg.solver_sweep, check_connectivity=state.topology_dirty,
+        sweep=cfg.solver_sweep, check_connectivity=dirty,
         hierarchy=state.hierarchy)
     if state.steps > 0:    # before the first solve, pressures holds the ramp
         # one buffer per run: keeping each step's array a step longer
@@ -366,14 +485,19 @@ def step(state: SimulationState, dt: float | None = None,
     if state.clean_flow is None:
         state.clean_flow = total
 
-    kinetics = _aperture_kinetics(state, flows)
-    prep = _membrane_stats(state, flows)
+    z = state.open_facets[0]
+    f_sub = np.abs(flows.flow_z.take(z.index)) / z.weights
+    kinetics = _aperture_kinetics(state, flows, f_sub) if chem is not None else ()
+    catch_flow = None
+    if cfg.N_particles > 0 and cfg.l_particle > 0 and state.open_weights.any():
+        catch_flow = np.bincount(z.membrane, z.weights * (1.0 - z.pass_prob) * f_sub,
+                                 minlength=grid.n_membranes)
 
     if dt is None:
         if isinstance(cfg.dt, (int, float)):
             dt = float(cfg.dt)
         else:
-            dt = _adaptive_dt(state, prep, kinetics)
+            dt = _adaptive_dt(state, catch_flow, kinetics)
             if not np.isfinite(dt):
                 if state.last_dt is not None:
                     dt = state.last_dt
@@ -388,45 +512,12 @@ def step(state: SimulationState, dt: float | None = None,
     if not dt > 0:
         raise ValueError(f"time step must be positive, got {dt!r}")
 
-    _record(state, dt, total, _depletion_warning(state, kinetics))
+    _record(state, dt, total, _depletion_warning(state, kinetics), state.membrane_counts)
 
-    # capture draws, all membranes at once, against the pre-step concentrations
-    if prep is not None:
-        q, f_sub, w, wt = prep
-        conc = state.layer_concentration[:grid.n_membranes][None, None, :]
-        p = step_blocking_probability(q, f_sub, conc, dt)
-        if cfg.blocking_law == BLOCKING_CORRECTED:
-            denom = np.maximum(wt, 1)
-            p = _corrected(p, conc, dt, LayerStats(
-                mean_catch_flow=(w * (1.0 - q) * f_sub).sum(axis=(0, 1)) / denom,
-                mean_simple_probability=(w * p).sum(axis=(0, 1)) / denom,
-            ))
-        p = np.where((w > 0) & (conc > 0), p, 0.0)
-        hits = rng.binomial(w, p)
-        per_membrane = hits.sum(axis=(0, 1))
-        if per_membrane.any():
-            grid.z_open_count -= hits
-            exhausted = (grid.z_state == ApertureState.OPEN) & (grid.z_open_count == 0)
-            if exhausted.any():
-                grid.z_state[exhausted] = ApertureState.PARTICLE_BLOCKED
-                state.topology_dirty = True
-            state.catches += per_membrane
-
-    # deposit growth on whatever is still open
-    if chem is not None:
-        for fam in _FACET_FAMILIES:
-            open_mask, rate, _ = kinetics[fam.name]
-            radius0, radius, st, _ = fam.arrays(grid)
-            still_open = open_mask & (st == ApertureState.OPEN)
-            if not np.any(still_open):
-                continue
-            radius[still_open] = np.maximum(radius[still_open] - rate[still_open] * dt, 0.0)
-            sealing = still_open & (radius <= cfg.seal_fraction * radius0)
-            if np.any(sealing):
-                st[sealing] = ApertureState.SEDIMENT_SEALED
-                state.topology_dirty = True
-
-    state.pass_prob, state.layer_concentration = _pass_and_concentration(cfg, grid)
+    blocked = catch_flow is not None and _capture(state, f_sub, catch_flow, dt, rng)
+    _deposit(state, kinetics, dt, blocked)
+    state.pass_prob = _filter_pass(cfg, grid)
+    _refresh_concentration(state)
     state.time += dt
     state.steps += 1
     state.prev_dt, state.last_dt = state.last_dt, dt

@@ -210,7 +210,12 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     the iteration (a linear ramp otherwise).  ``guess`` is a second candidate
     start, such as a field extrapolated from earlier solves: it replaces
     ``initial`` on the active cells only when its max-norm net-flow residual
-    is strictly smaller, and never on window or isolated cells.  ``sweep``
+    is strictly smaller, and never on window or isolated cells.  CG ranks
+    the two starts by the residual vector it iterates on: the inflow from
+    the window cells, computed once since both starts pin the same window
+    values, minus the operator applied to each start; the chosen start's
+    vector is CG's first residual, so no solve recomputes it.  The
+    Gauss-Seidel reference ranks them by its own residual.  ``sweep``
     selects "cg" (preconditioned conjugate gradient; the default and the
     FilterConfig default) or "lexicographic" (scalar Gauss-Seidel in index
     order, the reference for small grids).  Both converge to the same field
@@ -257,15 +262,16 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     active = ~fixed & (den > 0)
 
     work = np.empty_like(p)
+    trial = None
     if guess is not None:
         trial = np.where(active, _start_field(guess, "guess", p.shape), p)
-        if _residual(trial, stencil, den, active, work) \
-                < _residual(p, stencil, den, active, work):
-            p = trial
 
     if sweep == "lexicographic":
+        if trial is not None and _residual(trial, stencil, den, active, work) \
+                < _residual(p, stencil, den, active, work):
+            p = trial
         return _solve_lexicographic(p, g, stencil, den, active, tol, max_iter)
-    return _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy)
+    return _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy)
 
 
 # damped Jacobi weight of the multigrid smoother
@@ -588,35 +594,50 @@ def _restrict_to_active(stencil, den, active, fixed, work):
     return window
 
 
-def _solve_cg(p, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy):
+def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy):
     """Conjugate gradient on the pressure system, preconditioned by a
     multigrid V-cycle over in-layer aggregates (``_VCycle``), whose coarse
     levels come from ``hierarchy`` if one is given.
 
-    Iterates on ``p`` in place and overwrites ``stencil``, ``den`` and
+    Starts from ``trial`` instead of ``p`` when ``trial`` is not None and
+    its residual is strictly smaller; the two agree off the active cells.
+    Iterates on the start in place and overwrites ``stencil``, ``den`` and
     ``work``.  The residual vector CG carries is exactly the per-cell net
     flow, so the stopping rule is the same max-norm bound the Gauss-Seidel
     reference uses.  Floating regions (no path to a window) have balanced
     all-zero equations; a warm start from any converged field leaves them
     untouched.
     """
-    r = np.where(active, _neighbor_sums(np.where(fixed, p, 0.0), stencil, work), 0.0)
+    # the net flow from the window cells, shared by both starts: their
+    # window cells hold the same pinned values
+    inflow = np.where(active, _neighbor_sums(np.where(fixed, p, 0.0), stencil, work), 0.0)
     window = _restrict_to_active(stencil, den, active, fixed, work)
     # the cells without an equation keep their values, set aside meanwhile;
     # CG's updates leave arbitrary finite values there, which no sum reads
     idle = np.flatnonzero(~active)
     kept = p.reshape(-1)[idle]
-    p.reshape(-1)[idle] = 0.0
+
+    def max_abs(v):
+        return float(max(v.max(), -v.min()))
+
+    def residual_of(x, out):
+        """Zero start ``x`` off the active cells; its residual vector and norm."""
+        x.reshape(-1)[idle] = 0.0
+        r = np.subtract(inflow, _apply(x, stencil, den, work), out=out)
+        return r, max_abs(r)
+
+    r, residual = residual_of(p, inflow if trial is None else None)
+    if trial is not None:
+        r_trial, trial_residual = residual_of(trial, inflow)
+        if trial_residual < residual:
+            p, r, residual = trial, r_trial, trial_residual
+        del r_trial
+    del inflow, trial
 
     def result(residual, iterations):
         p.reshape(-1)[idle] = kept
         return PressureField(p, residual, iterations, g)
 
-    def max_abs(v):
-        return float(max(v.max(), -v.min()))
-
-    r -= _apply(p, stencil, den, work)
-    residual = max_abs(r)
     if residual <= tol or not np.any(active):
         return result(residual, 0)
     precondition = _VCycle(stencil, den, window, hierarchy)
@@ -680,14 +701,6 @@ def _flows(g, p) -> FlowField:
     """Signed per-aperture flows from facet conductances ``g`` and pressures
     ``p``; the engine passes the conductances its solve recorded."""
     return FlowField(*(ga * (p[lo] - p[hi]) for ga, (lo, hi) in zip(g, _SIDES)))
-
-
-def cell_net_outflow(flows: FlowField, n_x: int, n_y: int, n_z: int) -> np.ndarray:
-    """Net signed outflow of every cell, m^3/s (zero for converged inner cells)."""
-    net = np.empty((n_x, n_y, n_z))
-    for k in range(n_z):
-        net[:, :, k] = _layer_net_outflow(flows, k)
-    return net
 
 
 def _layer_net_outflow(flows: FlowField, k: int) -> np.ndarray:

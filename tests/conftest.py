@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from clogsim.hydraulics import FlowField, _layer_net_outflow
 from clogsim.model import Chemistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -38,3 +40,12 @@ def calcium() -> Chemistry:
         sediment_density=SEDIMENT_DENSITY,
         solute_molar_mass=SOLUTE_MOLAR_MASS,
     )
+
+
+def cell_net_outflow(flows: FlowField, n_x: int, n_y: int, n_z: int) -> np.ndarray:
+    """Net signed outflow of every cell, m^3/s (zero for converged inner cells),
+    layer by layer as ``total_flow`` and ``outlet_flow`` sum their windows."""
+    net = np.empty((n_x, n_y, n_z))
+    for k in range(n_z):
+        net[:, :, k] = _layer_net_outflow(flows, k)
+    return net

@@ -17,14 +17,14 @@ from clogsim.cli import parse_config
 from clogsim.design import (quantile_penetration_forms, radius_for_catch,
                             equal_contamination_schedule)
 from clogsim.engine import pass_probability, run
-from clogsim.hydraulics import (DegenerateNetworkError, cell_net_outflow,
-                                conductance_arrays, flows_from_pressures,
-                                reference_cell_flow, solve_pressures)
+from clogsim.hydraulics import (DegenerateNetworkError, conductance_arrays,
+                                flows_from_pressures, reference_cell_flow,
+                                solve_pressures)
 from clogsim.model import ApertureState, Chemistry, build_grid
 from clogsim.sediment import (calibrate_rate_constant, solve_slow_layer,
                               stationary_velocity, wall_concentration_profile)
 
-from conftest import CONFIG_DIR, GROWTH
+from conftest import CONFIG_DIR, GROWTH, cell_net_outflow
 from test_hydraulics import dense_pressures, make_config, random_connected_grid
 from test_sediment import oracle_wall_concentration
 

@@ -11,9 +11,14 @@ from clogsim.engine import (LayerStats, SimulationTrace, initialize,
                             layer_concentrations, pass_probability, run, step,
                             step_blocking_probability)
 from clogsim.hydraulics import DegenerateNetworkError, solve_pressures
-from clogsim.model import ApertureState, FilterConfig
+from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig
+from clogsim.sediment import wall_concentration_profile
 
-from conftest import CHANNEL_RADIUS  # noqa: F401  (fixture module import)
+from conftest import CHANNEL_RADIUS, DATA_DIR  # noqa: F401  (fixture module import)
+
+# a division by zero or an invalid value in the engine's compact arrays
+# fails the test instead of passing as a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 Q_SCENARIO = 0.6939019764846559      # pass_probability(1.19e-5, 2.5e-5), frozen
 Q19_SCENARIO = 9.653045780678363e-4  # Q_SCENARIO ** 19, frozen
@@ -205,10 +210,19 @@ class TestStepMechanics:
             step(state)
 
     def test_wall_cache_populated(self, calcium):
+        # after one step every family and the cavity hold a warm start: one
+        # wall concentration per open facet, in the order of its table
         cfg = make_config(chemistry=calcium, c0_entrance=4.4e21, dt=100.0)
         state = initialize(cfg)
+        assert all(table.wall is None for table in state.open_facets)
+        assert state.cavity_wall is None
         step(state)
-        assert {"x", "y", "z", "cavity"} <= set(state.wall_cache)
+        for fam, table in zip(_FACET_FAMILIES, state.open_facets):
+            np.testing.assert_array_equal(table.index,
+                                          np.flatnonzero(fam.open_mask(state.grid)))
+            assert table.wall.shape == table.index.shape and table.index.size > 0
+            assert np.all((table.wall > 0) & (table.wall <= cfg.c0_entrance))
+        assert 0 < state.cavity_wall <= cfg.c0_entrance
 
 
 class TestRunOutcomes:
@@ -476,3 +490,118 @@ class TestDepletionFlag:
         loose = dataclasses.replace(strict, depletion_threshold=0.999)
         trace = run(loose)
         assert not trace.snapshots[0].depletion_warning
+
+
+class TestPinnedTraces:
+    """Trace text of two runs, captured before the engine computed on its
+    compact open-facet tables; a step's bookkeeping may change how it is
+    computed, never a byte of the trace."""
+
+    def test_scenario1_small_run(self, calcium):
+        trace = run(scenario1_small(calcium))
+        want = (DATA_DIR / "scenario1_small.trace.csv").read_text()
+        assert trace.to_csv() == want
+
+    def test_multiplicity_three_corrected_law_run(self, calcium):
+        cfg = dataclasses.replace(scenario1_small(calcium), aperture_multiplicity=3,
+                                  N_particles=3e7, seed=5)
+        assert cfg.blocking_law == "corrected"
+        trace = run(cfg)
+        want = (DATA_DIR / "multiplicity3_corrected.trace.csv").read_text()
+        assert trace.to_csv() == want
+        final = trace.snapshots[-1]
+        assert sum(final.sealed) > 0 and sum(final.catches) > sum(final.blocked) > 0
+
+
+class TestOpenFacets:
+    def test_binomial_draws_nothing_for_empty_or_zero_entries(self):
+        # the engine draws captures on the entries with w > 0 and p > 0 only;
+        # numpy returns 0 without a draw for n = 0 or p = 0, so the draws and
+        # the generator state match a draw over every entry
+        gen = np.random.default_rng(4)
+        for seed in range(20):
+            w = gen.integers(0, 4, (6, 7, 5))
+            p = np.where(gen.random(w.shape) < 0.3, gen.random(w.shape) * 0.2, 0.0)
+            full, live = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = full.binomial(w, p)
+            drawn = np.flatnonzero((w > 0) & (p > 0))
+            got = np.zeros(w.size, dtype=want.dtype)
+            got[drawn] = live.binomial(w.reshape(-1)[drawn], p.reshape(-1)[drawn])
+            np.testing.assert_array_equal(got, want.reshape(-1))
+            assert live.bit_generator.state == full.bit_generator.state
+
+    def test_tables_follow_the_grid(self, calcium):
+        cfg = dataclasses.replace(scenario1_small(calcium), aperture_multiplicity=3,
+                                  N_particles=3e7, seed=5)
+        state = initialize(cfg)
+        grid = state.grid
+        closed_once = False
+        for _ in range(200):
+            step(state)
+            closed_once |= state.topology_dirty
+            z = state.open_facets[0]
+            # weights drop to zero as facets close; the rest match the grid
+            np.testing.assert_array_equal(z.weights, np.where(
+                grid.z_state.reshape(-1)[z.index] == ApertureState.OPEN,
+                grid.z_open_count.reshape(-1)[z.index], 0))
+            np.testing.assert_array_equal(z.pass_prob, state.pass_prob.reshape(-1)[z.index])
+            # the per-membrane sums over the compact arrays equal the sums
+            # over the whole lattice, bit for bit
+            w = np.where(grid.z_state == ApertureState.OPEN, grid.z_open_count, 0)
+            wt = w.sum(axis=(0, 1))
+            np.testing.assert_array_equal(state.open_weights, wt)
+            mean_pass = np.where(wt > 0, (w * state.pass_prob).sum(axis=(0, 1))
+                                 / np.maximum(wt, 1), 0.0)
+            want = layer_concentrations(cfg.N_particles, mean_pass)
+            assert state.layer_concentration.tobytes() == want.tobytes()
+            if not state.topology_dirty:
+                for fam, table in zip(_FACET_FAMILIES, state.open_facets):
+                    np.testing.assert_array_equal(
+                        table.index, np.flatnonzero(fam.open_mask(grid)))
+                    radius0 = fam.arrays(grid)[0].reshape(-1)[table.index]
+                    np.testing.assert_array_equal(table.seal_radius,
+                                                  cfg.seal_fraction * radius0)
+        assert closed_once
+
+    def test_state_counts_only_after_a_change(self, calcium, monkeypatch):
+        from clogsim.model import CellGrid
+        counted = []
+        original = CellGrid.membrane_state_counts
+
+        def counting(grid):
+            counted.append(grid)
+            return original(grid)
+
+        monkeypatch.setattr(CellGrid, "membrane_state_counts", counting)
+        state = initialize(scenario1_small(calcium))
+        changed = 0
+        for _ in range(150):
+            changed += state.topology_dirty
+            step(state)
+        assert len(counted) == 1 + changed < 1 + 150
+        for snap in state.trace[-3:]:
+            assert sum(snap.open) + sum(snap.blocked) + sum(snap.sealed) == 6 * 6 * 5
+
+    def test_cavity_wall_in_floats_matches_the_array_code(self, calcium):
+        # the depletion flag's order-1 wall solve, in Python floats, gives
+        # the array code's value bit for bit, or None where that code would
+        # fall back to its bracketed solve
+        gen = np.random.default_rng(12)
+        c0 = 4.428044676470588e21
+        chems = [calcium, dataclasses.replace(calcium, rate_constant=1e-2),
+                 dataclasses.replace(calcium, rate_constant=1e-7)]
+        fallbacks = exact = 0
+        for chem in chems:
+            for _ in range(400):
+                radius = float(10.0 ** gen.uniform(-7, -3))
+                speed = float(10.0 ** gen.uniform(-9, 1) * gen.integers(0, 2))
+                guess = float(c0 * gen.choice([gen.uniform(0.0, 1.0), 0.0, 1.0, 1.5]))
+                got = engine._first_order_wall(chem, radius, c0, speed, guess)
+                want = wall_concentration_profile(chem, radius, c0, speed,
+                                                  guess=np.array([guess]))[0]
+                if got is None:
+                    fallbacks += 1
+                    continue
+                exact += 1
+                assert type(got) is float and got == want, (radius, speed, guess)
+        assert exact > 1000 and fallbacks > 0

@@ -11,14 +11,13 @@ from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceE
                                 DegenerateNetworkError, FlowField, Hierarchy, _apply,
                                 _bottom_inverse, _coarse_levels, _flows, _neighbor_sums,
                                 _Operator, _restrict_to_active, _stencil, _VCycle,
-                                aperture_flow,
-                                cell_net_outflow, check_connected, conductance_arrays,
+                                aperture_flow, check_connected, conductance_arrays,
                                 flows_from_pressures, outlet_flow,
                                 pressure_csv, reference_cell_flow, solve_pressures,
                                 total_flow)
 from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig, build_grid
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, cell_net_outflow
 
 # the float32 multigrid cycle must neither overflow nor produce NaN
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -546,7 +545,8 @@ def pinned_solves() -> dict[str, tuple[np.ndarray, int]]:
 
 def start_net_flow(grid, p_in: float, p_out: float, p):
     """Net flow of every cell of ``p`` with the windows pinned, zero on the
-    cells without an equation; its max norm ranks the solver's starts."""
+    cells without an equation; its max norm ranks the solver's starts (CG
+    sums the same net flow as its own residual vector)."""
     stencil = _stencil(conductance_arrays(grid))
     den = _neighbor_sums(np.ones(p.shape), stencil, np.empty(p.shape))
     fixed = np.zeros(p.shape, dtype=bool)

@@ -20,6 +20,10 @@ from conftest import (CHANNEL_RADIUS, DIFFUSIVITY, ENTRANCE_CONCENTRATION, GROWT
 
 STATIONARY_SPEED = 1.4219135802469136e-4   # K * c1 / c0 for the calcium benchmark
 
+# a division by zero or an invalid value in the solvers fails the test
+# instead of passing as a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _chem(k=RATE_CONSTANT, n=1, D=DIFFUSIVITY) -> Chemistry:
     return Chemistry(rate_constant=k, reaction_order=n, diffusivity=D,
@@ -371,3 +375,18 @@ def test_wall_concentration_bounded_and_monotone(k_mul, r, v_mul):
     # more flow never starves the wall
     faster = solve_slow_layer(chem, r, c0, v0 * 2)
     assert faster.wall_concentration >= sol.wall_concentration * (1 - 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=1e-8, max_value=1e3),
+    y=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_warm_newton_slope_stays_positive(a, y):
+    # the order-1 warm Newton divides by the cubic's slope 2 + (4a - 2) y - 3a y^2
+    # unguarded; it is concave in y, so on [0, 1] it is at least min(2, a),
+    # up to the rounding of terms no larger than 2 + 7a
+    a4, a3 = 4.0 * a - 2.0, 3.0 * a     # as _convective_first_order_warm forms it
+    slope = 2.0 + a4 * y - a3 * y * y
+    assert slope > 0.0
+    assert slope >= min(2.0, a) - 1e-15 * (2.0 + 7.0 * a)
