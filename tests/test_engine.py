@@ -537,8 +537,12 @@ class TestOpenFacets:
         grid = state.grid
         closed_once = False
         for _ in range(200):
+            before = state.open_facets
             step(state)
             closed_once |= state.topology_dirty
+            for old, new in zip(before, state.open_facets):
+                # a family whose open facets did not change keeps its table
+                assert new is old or not np.array_equal(new.mask, old.mask)
             z = state.open_facets[0]
             # weights drop to zero as facets close; the rest match the grid
             np.testing.assert_array_equal(z.weights, np.where(
@@ -556,8 +560,8 @@ class TestOpenFacets:
             assert state.layer_concentration.tobytes() == want.tobytes()
             if not state.topology_dirty:
                 for fam, table in zip(_FACET_FAMILIES, state.open_facets):
-                    np.testing.assert_array_equal(
-                        table.index, np.flatnonzero(fam.open_mask(grid)))
+                    np.testing.assert_array_equal(table.mask, fam.open_mask(grid))
+                    np.testing.assert_array_equal(table.index, np.flatnonzero(table.mask))
                     radius0 = fam.arrays(grid)[0].reshape(-1)[table.index]
                     np.testing.assert_array_equal(table.seal_radius,
                                                   cfg.seal_fraction * radius0)
