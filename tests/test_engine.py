@@ -567,6 +567,26 @@ class TestOpenFacets:
                                                   cfg.seal_fraction * radius0)
         assert closed_once
 
+    def test_grid_edit_between_steps_reaches_the_tables(self, calcium):
+        # a caller that closes facets between steps and sets topology_dirty
+        # gets tables rebuilt from the grid; untouched families keep theirs
+        state = initialize(scenario1_small(calcium))
+        step(state)
+        assert not state.topology_dirty
+        grid = state.grid
+        z_before, x_before, y_before = state.open_facets
+        grid.x_state[2, 2, 2] = ApertureState.SEDIMENT_SEALED
+        grid.z_state[3, 3, 1] = ApertureState.PARTICLE_BLOCKED
+        grid.z_open_count[3, 3, 1] = 0
+        state.topology_dirty = True
+        step(state)
+        z, x, y = state.open_facets
+        assert z is not z_before and x is not x_before and y is y_before
+        assert not x.mask[2, 2, 2] and not z.mask[3, 3, 1]
+        assert x.index.size == x_before.index.size - 1
+        assert z.index.size == z_before.index.size - 1
+        np.testing.assert_array_equal(z.weights, grid.z_open_count[z.mask])
+
     def test_state_counts_only_after_a_change(self, calcium, monkeypatch):
         from clogsim.model import CellGrid
         counted = []
