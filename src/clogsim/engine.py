@@ -17,12 +17,12 @@ number of captures in a membrane matches the arrival-limited exponential
 rate.
 
 Bookkeeping:  the state keeps, per facet family, a compact table of its
-open facets in flat index order: their indices, seal radii and previous
-wall concentrations, and for the filtering family each facet's membrane,
-open sub-aperture count and pass probability.  A step computes radius,
-speed, wall concentration, shrink rate, shrink cap, deposit and seal test
-once on these arrays, and the membranes' open weights, catch hazard and
-state counts once per step.  The tables and the state counts are rebuilt
+open facets in flat index order: their indices and seal radii, and for
+the filtering family each facet's membrane, open sub-aperture count and
+pass probability.  A step computes radius, speed, wall concentration,
+shrink rate, shrink cap, deposit, seal test and pass probability once on
+these arrays, and the membranes' open weights, catch hazard and state
+counts once per step.  The tables and the state counts are rebuilt
 from the grid only at the start of a step that follows a topology change
 (``topology_dirty``: a facet blocked or sealed), and a family whose open
 facets did not change keeps its table; in between, captures update the
@@ -191,7 +191,6 @@ class _OpenFacets:
     index: np.ndarray          # flat indices into the family's arrays
     mask: np.ndarray           # the same facets as a mask of the family's shape
     seal_radius: np.ndarray    # radius at or under which each facet seals
-    wall: np.ndarray | None = None       # previous wall concentrations
     # filtering families only
     membrane: np.ndarray | None = None   # membrane of each facet
     weights: np.ndarray | None = None    # open sub-apertures, zero once closed
@@ -218,14 +217,11 @@ class SimulationState:
     prev_pressures: np.ndarray | None = None
     prev_dt: float | None = None
     trace: list[TraceSnapshot] = field(default_factory=list)
-    # per facet family, in _FACET_FAMILIES order, its open facets; their wall
-    # concentrations warm-start the deposition solve, never affect its result
+    # per facet family, in _FACET_FAMILIES order, its open facets
     open_facets: tuple[_OpenFacets, ...] = ()
     # per membrane: (open, blocked, sealed) facet counts, and open sub-apertures
     membrane_counts: tuple[np.ndarray, ...] = ()
     open_weights: np.ndarray | None = None
-    # the cavity's previous wall concentration, the depletion solve's warm start
-    cavity_wall: float | None = None
     # the coarse multigrid levels the step solves share
     hierarchy: Hierarchy = field(default_factory=Hierarchy)
 
@@ -247,12 +243,6 @@ def _index_open_facets(state: SimulationState) -> None:
         else:
             table = _OpenFacets(np.flatnonzero(mask), mask,
                                 state.config.seal_fraction * radius0[mask])
-            if old is not None and old.wall is not None:
-                # a facet that was not open at the last step has no previous
-                # value; from zero the warm solve starts mid-channel
-                wall = np.zeros(mask.shape)
-                wall[old.mask] = old.wall
-                table.wall = wall[mask]
             if fam.filtering:
                 table.membrane = np.broadcast_to(np.arange(grid.n_membranes), mask.shape)[mask]
         if fam.filtering:
@@ -265,20 +255,19 @@ def _index_open_facets(state: SimulationState) -> None:
     state.open_weights = np.bincount(z.membrane, z.weights, minlength=grid.n_membranes)
 
 
-def _filter_pass(config: FilterConfig, grid: CellGrid) -> np.ndarray:
-    """Pass probability of every filtering facet at its current radius."""
+def _filter_pass(config: FilterConfig, radius) -> np.ndarray:
+    """Pass probability of filtering facets at the given radii."""
     if config.l_particle > 0:
-        return pass_probability(grid.z_radius, config.l_particle)
-    return np.ones_like(grid.z_radius)
+        return pass_probability(radius, config.l_particle)
+    return np.ones_like(radius)
 
 
 def _refresh_concentration(state: SimulationState) -> None:
-    """After the radii or the open weights changed: the open facets' pass
-    probabilities, the open weights per membrane, and the layer
-    concentrations that the membranes' mean pass over them gives."""
+    """After the pass probabilities or the open weights changed: the open
+    weights per membrane, and the layer concentrations that the membranes'
+    mean pass over them gives."""
     m = state.grid.n_membranes
     z = state.open_facets[0]
-    z.pass_prob = state.pass_prob[z.mask]
     wt = np.bincount(z.membrane, z.weights, minlength=m)
     mean_pass = np.where(wt > 0, np.bincount(z.membrane, z.weights * z.pass_prob, minlength=m)
                          / np.maximum(wt, 1), 0.0)
@@ -295,7 +284,7 @@ def initialize(config: FilterConfig) -> SimulationState:
     pressures = np.broadcast_to(ramp, (config.n_x, config.n_y, config.n_z)).copy()
     state = SimulationState(
         config=config, grid=grid, pressures=pressures,
-        layer_concentration=None, pass_prob=_filter_pass(config, grid),
+        layer_concentration=None, pass_prob=_filter_pass(config, grid.z_radius),
         catches=np.zeros(config.n_z - 1, dtype=np.int64),
         time=0.0, steps=0,
         rng=np.random.default_rng(config.seed),
@@ -322,8 +311,7 @@ def _aperture_kinetics(state: SimulationState, flows: FlowField, f_sub: np.ndarr
         speed = 2.0 * f / (np.pi * r * r)
         rate = r
         if r.size:
-            table.wall = wall_concentration_profile(chem, r, c0, speed, guess=table.wall)
-            rate = growth_rate(chem, table.wall)
+            rate = growth_rate(chem, wall_concentration_profile(chem, r, c0, speed))
         out.append((r, rate, speed))
     return out
 
@@ -355,28 +343,6 @@ def _record(state: SimulationState, dt: float, total: float, warning: bool,
         state.time, dt, total, *(tuple(int(v) for v in group) for group in counts), warning))
 
 
-def _first_order_wall(chem, radius: float, c0: float, v0: float, guess: float):
-    """``wall_concentration_profile(chem, radius, c0, v0, guess=[guess])[0]``
-    for one order-1 channel, in Python floats: the same operations in the
-    same order, so the same value.  None where that code falls back to its
-    bracketed solve.
-    """
-    k, D = chem.rate_constant, chem.diffusivity
-    c_slow = D * c0 / (k * radius + D)
-    if not v0 > k * c_slow / c0:
-        return c_slow
-    a = k * radius / D
-    b = k / v0
-    y = min(max((c0 / guess - 1.0) / a if guess > 0 else 0.5, 0.0), 1.0)
-    a4, a3 = 4.0 * a - 2.0, 3.0 * a
-    for _ in range(4):
-        resid = y * (2.0 - y) * (a * y + 1.0) - b
-        y = min(max(y - resid / (2.0 + a4 * y - a3 * y * y), 0.0), 1.0)
-    if abs(y * (2.0 - y) * (a * y + 1.0) - b) > 1e-10 * max(b, 1.0):
-        return None
-    return c0 / (a * y + 1.0)
-
-
 def _depletion_warning(state: SimulationState, kinetics) -> bool:
     chem = state.config.chemistry
     if chem is None:
@@ -385,15 +351,7 @@ def _depletion_warning(state: SimulationState, kinetics) -> bool:
     z_speed = kinetics[0][2]
     speed = float(z_speed.mean()) if z_speed.size else 0.0
     cavity = (cfg.h_x + cfg.h_y + cfg.h_z) / 3.0
-    prev = state.cavity_wall
-    c1 = None
-    if prev is not None and chem.reaction_order == 1:
-        c1 = _first_order_wall(chem, cavity, cfg.c0_entrance, speed, prev)
-    if c1 is None:
-        c1 = float(wall_concentration_profile(
-            chem, cavity, cfg.c0_entrance, speed,
-            guess=None if prev is None else np.array([prev]))[0])
-    state.cavity_wall = c1
+    c1 = float(wall_concentration_profile(chem, cavity, cfg.c0_entrance, speed)[0])
     est = axial_depletion(chem, cavity, cfg.c0_entrance, c1, speed, cfg.L_z,
                           threshold=cfg.depletion_threshold)
     return not est.negligible
@@ -526,7 +484,9 @@ def step(state: SimulationState, dt: float | None = None,
 
     blocked = catch_flow is not None and _capture(state, f_sub, catch_flow, dt, rng)
     _deposit(state, kinetics, dt, blocked)
-    state.pass_prob = _filter_pass(cfg, grid)
+    # only the radii of the facets open at the start of the step moved
+    z.pass_prob = _filter_pass(cfg, grid.z_radius[z.mask])
+    state.pass_prob[z.mask] = z.pass_prob
     _refresh_concentration(state)
     state.time += dt
     state.steps += 1

@@ -306,7 +306,11 @@ class CellGrid:
 
     def membrane_state_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(open, particle_blocked, sediment_sealed) facet counts per membrane."""
-        return tuple((self.z_state == state).sum(axis=(0, 1)) for state in ApertureState)
+        m = self.n_membranes
+        # one bin per (state, membrane) pair; widen the int8 states before scaling
+        codes = m * self.z_state.astype(np.intp) + np.arange(m)
+        counts = np.bincount(codes.reshape(-1), minlength=len(ApertureState) * m)
+        return tuple(counts.reshape(len(ApertureState), m))
 
     # --- element access ---------------------------------------------------
 

@@ -38,8 +38,8 @@ from .model import AVOGADRO, Chemistry
 CONVECTIVE = "convective"
 DIFFUSION_LIMITED = "diffusion-limited"
 
-# Root-finder depth: 2^-48 brackets the dimensionless thickness well below
-# the 1e-12 absolute target, secant polish pushes it to machine precision.
+# Root-finder depth: 2^-48 of the bracket lies well below the 1e-12
+# relative target, secant polish pushes it to machine precision.
 _BISECT_ITERS = 48
 _SECANT_ITERS = 4
 
@@ -145,50 +145,35 @@ def stationary_velocity(chem: Chemistry, radius, c0: float):
 
 
 def _convective_first_order(chem: Chemistry, radius, c0: float, v0):
-    """Thickness and wall concentration for order 1: cubic in the thickness y."""
+    """Thickness and wall concentration for order 1: cubic in the thickness y.
+
+    Above the stationary speed (0 < b < 1 + a) the monic form
+    y^3 + B y^2 + C y + E, with B = (1 - 2a)/a, C = -2/a and E = b/a, has
+    one root below 0, one in (0, 1) and one above 1.  Vieta's trigonometric
+    form gives the outer root that its shift -B/3 adds to without
+    cancellation (the one below 0 when B > 0, else the one above 1);
+    dividing it out leaves a quadratic whose root in [0, 1] comes without
+    cancellation either.  The middle root taken straight from the
+    trigonometric form loses all accuracy as a -> 0.
+    """
     k, D = chem.rate_constant, chem.diffusivity
     a = k * np.asarray(radius, dtype=float) / D
     b = k / np.asarray(v0, dtype=float)
-
-    def residual(y):
-        return y * (2.0 - y) * (a * y + 1.0) - b
-
-    y = _bracketed_root(residual, np.zeros_like(a), np.ones_like(a))
+    B, C, E = (1.0 - 2.0 * a) / a, -2.0 / a, b / a
+    Q = (B * B - 3.0 * C) / 9.0
+    R = (2.0 * B * B * B - 9.0 * B * C + 27.0 * E) / 54.0
+    # the sign of B picks the outer root, and keeps the angle in [0, pi/3]
+    sqrt_q = np.copysign(np.sqrt(Q), B)
+    theta = np.arccos(np.clip(R / (Q * sqrt_q), -1.0, 1.0))
+    big = -2.0 * sqrt_q * np.cos(theta / 3.0) - B / 3.0
+    # the quadratic y^2 + e y + f left after dividing out ``big``; q is its
+    # root of larger magnitude, f / q the other
+    f = -E / big
+    e = (f - C) / big
+    q = -0.5 * (e + np.copysign(np.sqrt(np.maximum(e * e - 4.0 * f, 0.0)), e))
+    y = np.clip(np.where((big > 0) & (q > 0), q, f / q), 0.0, 1.0)
     c1 = c0 / (a * y + 1.0)
     return y, c1
-
-
-def _convective_first_order_warm(chem: Chemistry, radius, c0: float, v0, c1_guess):
-    """Newton refinement of the order-1 cubic from previous wall values.
-
-    A simulation step changes each channel by a percent or so, so Newton
-    lands in 2 or 3 iterations; any element whose residual stays above a
-    small bound redoes the full bracketed solve.  Same answers as
-    _convective_first_order to solver precision.
-    """
-    k, D = chem.rate_constant, chem.diffusivity
-    r = np.asarray(radius, dtype=float)
-    a = k * r / D
-    b = k / np.asarray(v0, dtype=float)
-    g = np.asarray(c1_guess, dtype=float)
-    y = np.full_like(a, 0.5)
-    pos = g > 0
-    y[pos] = (c0 / g[pos] - 1.0) / a[pos]
-    y = np.clip(y, 0.0, 1.0)
-    # the slope 2 + (4a - 2) y - 3a y^2 is concave, so on [0, 1] it is at
-    # least min(2, a) > 0: Newton never divides by zero
-    a4, a3 = 4.0 * a - 2.0, 3.0 * a     # the slope's loop-invariant factors
-    for _ in range(4):
-        resid = y * (2.0 - y) * (a * y + 1.0) - b
-        slope = 2.0 + a4 * y - a3 * y * y
-        y = np.clip(y - resid / slope, 0.0, 1.0)
-    resid = np.abs(y * (2.0 - y) * (a * y + 1.0) - b)
-    bad = resid > 1e-10 * np.maximum(b, 1.0)
-    if np.any(bad):
-        y_bad, _ = _convective_first_order(chem, r[bad], c0,
-                                           np.asarray(v0, dtype=float)[bad])
-        y[bad] = y_bad
-    return y, c0 / (a * y + 1.0)
 
 
 def _convective_general(chem: Chemistry, radius, c0: float, v0, c_slow):
@@ -207,13 +192,11 @@ def _convective_general(chem: Chemistry, radius, c0: float, v0, c_slow):
     return np.clip(y, 0.0, 1.0), c1
 
 
-def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0, guess=None):
+def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0):
     """Wall concentration for many channels at once (array radius and v0).
 
     Chooses the regime per element: diffusion-limited below the stationary
-    speed, convective matching above it.  ``guess`` (previous wall values,
-    same shape) switches the order-1 convective branch to a warm Newton
-    solve; results agree with the cold path to solver precision.
+    speed, convective matching above it, in closed form for order 1.
     """
     r = np.atleast_1d(np.asarray(radius, dtype=float))
     v = np.atleast_1d(np.asarray(v0, dtype=float))
@@ -223,12 +206,7 @@ def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0, guess=Non
     conv = v > v_stat
     if np.any(conv):
         if chem.reaction_order == 1:
-            if guess is not None:
-                g = np.atleast_1d(np.asarray(guess, dtype=float))
-                _, c_conv = _convective_first_order_warm(chem, r[conv], c0, v[conv],
-                                                         g[conv])
-            else:
-                _, c_conv = _convective_first_order(chem, r[conv], c0, v[conv])
+            _, c_conv = _convective_first_order(chem, r[conv], c0, v[conv])
         else:
             _, c_conv = _convective_general(chem, r[conv], c0, v[conv], c_slow[conv])
         c1[conv] = c_conv

@@ -12,7 +12,6 @@ from clogsim.engine import (LayerStats, SimulationTrace, initialize,
                             step_blocking_probability)
 from clogsim.hydraulics import DegenerateNetworkError, solve_pressures
 from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig
-from clogsim.sediment import wall_concentration_profile
 
 from conftest import CHANNEL_RADIUS, DATA_DIR  # noqa: F401  (fixture module import)
 
@@ -208,21 +207,6 @@ class TestStepMechanics:
         state.topology_dirty = True
         with pytest.raises(DegenerateNetworkError):
             step(state)
-
-    def test_wall_cache_populated(self, calcium):
-        # after one step every family and the cavity hold a warm start: one
-        # wall concentration per open facet, in the order of its table
-        cfg = make_config(chemistry=calcium, c0_entrance=4.4e21, dt=100.0)
-        state = initialize(cfg)
-        assert all(table.wall is None for table in state.open_facets)
-        assert state.cavity_wall is None
-        step(state)
-        for fam, table in zip(_FACET_FAMILIES, state.open_facets):
-            np.testing.assert_array_equal(table.index,
-                                          np.flatnonzero(fam.open_mask(state.grid)))
-            assert table.wall.shape == table.index.shape and table.index.size > 0
-            assert np.all((table.wall > 0) & (table.wall <= cfg.c0_entrance))
-        assert 0 < state.cavity_wall <= cfg.c0_entrance
 
 
 class TestRunOutcomes:
@@ -493,8 +477,8 @@ class TestDepletionFlag:
 
 
 class TestPinnedTraces:
-    """Trace text of two runs, captured before the engine computed on its
-    compact open-facet tables; a step's bookkeeping may change how it is
+    """Trace text of two runs, captured when the order-1 wall concentration
+    became a closed-form root; a step's bookkeeping may change how it is
     computed, never a byte of the trace."""
 
     def test_scenario1_small_run(self, calcium):
@@ -605,27 +589,3 @@ class TestOpenFacets:
         assert len(counted) == 1 + changed < 1 + 150
         for snap in state.trace[-3:]:
             assert sum(snap.open) + sum(snap.blocked) + sum(snap.sealed) == 6 * 6 * 5
-
-    def test_cavity_wall_in_floats_matches_the_array_code(self, calcium):
-        # the depletion flag's order-1 wall solve, in Python floats, gives
-        # the array code's value bit for bit, or None where that code would
-        # fall back to its bracketed solve
-        gen = np.random.default_rng(12)
-        c0 = 4.428044676470588e21
-        chems = [calcium, dataclasses.replace(calcium, rate_constant=1e-2),
-                 dataclasses.replace(calcium, rate_constant=1e-7)]
-        fallbacks = exact = 0
-        for chem in chems:
-            for _ in range(400):
-                radius = float(10.0 ** gen.uniform(-7, -3))
-                speed = float(10.0 ** gen.uniform(-9, 1) * gen.integers(0, 2))
-                guess = float(c0 * gen.choice([gen.uniform(0.0, 1.0), 0.0, 1.0, 1.5]))
-                got = engine._first_order_wall(chem, radius, c0, speed, guess)
-                want = wall_concentration_profile(chem, radius, c0, speed,
-                                                  guess=np.array([guess]))[0]
-                if got is None:
-                    fallbacks += 1
-                    continue
-                exact += 1
-                assert type(got) is float and got == want, (radius, speed, guess)
-        assert exact > 1000 and fallbacks > 0

@@ -40,10 +40,14 @@ class TestCounts:
         grid = build_grid(make_config())
         grid.z_state[0, 0, 0] = ApertureState.PARTICLE_BLOCKED
         grid.z_state[1, 1, 2] = ApertureState.SEDIMENT_SEALED
+        # membrane 2 holds all three states
+        grid.z_state[2, 0, 1] = ApertureState.PARTICLE_BLOCKED
+        grid.z_state[0, 3, 1] = ApertureState.PARTICLE_BLOCKED
+        grid.z_state[3, 3, 1] = ApertureState.SEDIMENT_SEALED
         open_, blocked, sealed = grid.membrane_state_counts()
-        assert open_.tolist() == [15, 16, 15]
-        assert blocked.tolist() == [1, 0, 0]
-        assert sealed.tolist() == [0, 0, 1]
+        assert open_.tolist() == [15, 13, 15]
+        assert blocked.tolist() == [1, 2, 0]
+        assert sealed.tolist() == [0, 1, 1]
 
 
 class TestBuildGrid:
