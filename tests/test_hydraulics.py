@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import deque
 
@@ -493,9 +494,11 @@ class TestCsv:
 # must reproduce them exactly.  The CG entries were captured with the
 # float32 multigrid preconditioner (``_VCycle``) whose bottom level, at
 # most ``_BOTTOM_SIZE`` unknowns per layer, is inverted in float64 by block
-# elimination over the layers.  The lexicographic entries are
-# byte for byte those of the first capture, made before the solver's start
-# selection (``guess``) existed.
+# elimination over the layers.  All entries were captured again when the
+# solver began to peel dead-end branches off the network before solving
+# (``_peel``): the lexicographic ones too, as the reference sweep no longer
+# visits the removed cells.  The patterns without a dead end (``n4_1_*``
+# and ``n8_1_*``) kept their bytes.
 PINNED_SOLVES = DATA_DIR / "pinned_solves.npz"
 
 
@@ -1097,3 +1100,184 @@ class TestConductancesOncePerSolve:
         flows = flows_from_pressures(grid, field)
         assert np.count_nonzero(field.conductances[0]) > 0
         assert not np.any(flows.flow_x)
+
+
+def reference_peel(grid) -> tuple[np.ndarray, dict[int, set[int]]]:
+    """Rounds of plain repeated leaf removal over the facets of positive
+    conductance: each round removes every linked non-window cell with at
+    most one linked neighbour left (both cells of a pair linked only to each
+    other go in the same round); 0 for a cell that stays or has no link.
+    Also each flat cell index's linked neighbours."""
+    shape = (grid.n_x, grid.n_y, grid.n_z)
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    near = {c: set() for c in range(idx.size)}
+    for ga, (lo, hi) in zip(conductance_arrays(grid), _SIDES):
+        for a, b, g in zip(idx[lo].ravel(), idx[hi].ravel(), ga.ravel()):
+            if g > 0:
+                near[a].add(b)
+                near[b].add(a)
+    fixed = set(idx[:, :, 0][grid.inlet_mask]) | set(idx[:, :, -1][grid.outlet_mask])
+    alive = {c for c in near if near[c]}
+    rounds = np.zeros(idx.size, dtype=int)
+    r = 0
+    while True:
+        leaves = {c for c in alive - fixed if len(near[c] & alive) <= 1}
+        if not leaves:
+            return rounds.reshape(shape), near
+        r += 1
+        rounds[list(leaves)] = r
+        alive -= leaves
+
+
+def dead_end_grid(rng, n):
+    """A connected n^3 closure pattern with inner windows, many closed side
+    facets and so many dead-end branches."""
+    for _ in range(50):
+        grid = random_connected_grid(rng, rng.uniform(0.2, 0.4), rng.uniform(0.3, 0.5),
+                                     lattice_config((n, n, n)))
+        if np.any(reference_peel(grid)[0]):
+            return grid
+    raise AssertionError("could not draw a pattern with a dead end")
+
+
+CLOSURE_SWEEP_ITERATIONS = [18, 16, 18, 20, 20, 20, 21, 23, 23, 26, 25, 28, 28, 30, 31, 35,
+                            38, 42, 45, 59, 71, 66, 65, 88, 74, 66, 49]
+
+
+def closure_sweep(seed: int, n: int = 16) -> list[int]:
+    """CG iterations of each solve as random closures pile up on an n^3
+    lattice with scenario 1's apertures, each solve warm-started from the
+    last, until the network disconnects: each round seals 5% of the still
+    open facets of every family."""
+    window = ((n // 3, n - n // 3), (n // 3, n - n // 3))
+    grid = build_grid(make_config(L_x=5e-5 * n, L_y=5e-5 * n, L_z=5e-5 * n,
+                                  n_x=n, n_y=n, n_z=n, r_filter=1.19e-5, r_side=2.5e-5,
+                                  inlet_window=window, outlet_window=window))
+    rng = np.random.default_rng(seed)
+    states = (grid.z_state, grid.x_state, grid.y_state)
+    orders = [rng.permutation(state.size) for state in states]
+    done = [0, 0, 0]
+    iterations, pressure = [], None
+    while True:
+        for f, (state, order) in enumerate(zip(states, orders)):
+            k = math.ceil(0.05 * (order.size - done[f]))
+            np.put(state, order[done[f]:done[f] + k], ApertureState.SEDIMENT_SEALED)
+            done[f] += k
+        try:
+            field = solve_pressures(grid, 0.0, -2.0, initial=pressure)
+        except DegenerateNetworkError:
+            return iterations
+        pressure = field.pressure
+        iterations.append(field.iterations)
+
+
+# captured from the solver as it was before the dead-end peel existed
+SLAB_SOLVES_SHA256 = "b11d7f4d8d4d6bf42a83113d3ebe4e1df63363025b0b9daac662a9c18992cfe8"
+
+
+def slab_solves_digest() -> str:
+    """SHA-256 of the pressures, iterations and residuals of CG solves (cold,
+    then warm after a closure) and a lexicographic solve on lattices whose
+    side facets are all open, with closed and partly blocked z facets and
+    shrunken apertures."""
+    rng = np.random.default_rng(20261019)
+    digest = hashlib.sha256()
+    for shape in [(8, 8, 8), (5, 6, 4)]:
+        grid = build_grid(lattice_config(shape))
+        closed = rng.random(grid.z_state.shape) < 0.3
+        grid.z_state[closed] = ApertureState.PARTICLE_BLOCKED
+        grid.z_open_count[closed] = 0
+        grid.z_open_count -= rng.integers(0, 2, grid.z_open_count.shape) \
+            * (grid.z_open_count > 1)
+        shrink_radii(grid, rng, 0.5, 1.0)
+        check_connected(grid)
+        cold = solve_pressures(grid, 0.0, -2.0)
+        grid.x_radius *= 0.97
+        grid.z_state[2, 2, 1] = ApertureState.PARTICLE_BLOCKED
+        warm = solve_pressures(grid, 0.0, -2.0, initial=cold.pressure)
+        ref = solve_pressures(grid, 0.0, -2.0, sweep="lexicographic")
+        for field in (cold, warm, ref):
+            digest.update(field.pressure.tobytes())
+            digest.update(repr((field.iterations, field.residual)).encode())
+    return digest.hexdigest()
+
+
+class TestDeadEndPeel:
+    @pytest.mark.parametrize("sweep", ["cg", "lexicographic"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 10])
+    def test_dense_solve_agrees_and_dead_ends_carry_no_flow(self, n, sweep):
+        rng = np.random.default_rng(100 * n + len(sweep))
+        p_in, p_out = 0.0, -2.0
+        for _ in range(2):
+            grid = dead_end_grid(rng, n)
+            rounds, _ = reference_peel(grid)
+            A, rhs, active = active_system(grid, p_in, p_out)
+            want = np.zeros(active.shape)
+            want[active] = np.linalg.lstsq(A, rhs, rcond=None)[0]
+            field = solve_pressures(grid, p_in, p_out, sweep=sweep)
+            p = field.pressure
+            connected = window_connected(grid) & active
+            assert np.max(np.abs(np.where(connected, p - want, 0.0))) <= 1e-6 * abs(p_out - p_in)
+            # every facet into a dead end carries exactly no flow
+            flows = flows_from_pressures(grid, field)
+            dead_ends = 0
+            for flow, ga, (lo, hi) in zip((flows.flow_x, flows.flow_y, flows.flow_z),
+                                          conductance_arrays(grid), _SIDES):
+                dead = (ga > 0) & ((rounds[lo] > 0) | (rounds[hi] > 0))
+                assert np.all(flow[dead] == 0.0)
+                dead_ends += np.count_nonzero(dead)
+            assert dead_ends > 0
+
+    @pytest.mark.parametrize("n", [5, 8, 10])
+    def test_removed_cell_holds_its_attachment_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            grid = dead_end_grid(rng, n)
+            rounds, near = reference_peel(grid)
+            flat_r = rounds.reshape(-1)
+            p = solve_pressures(grid, 0.0, -2.0).pressure.reshape(-1)
+            attached = 0
+            for c in np.flatnonzero(flat_r):
+                held = [m for m in near[c] if flat_r[m] == 0 or flat_r[m] > flat_r[c]]
+                pair = [m for m in near[c] if flat_r[m] == flat_r[c]]
+                assert len(held) + len(pair) <= 1
+                for m in held + pair:
+                    assert p[c].tobytes() == p[m].tobytes(), (c, m)
+                attached += len(held)
+            assert attached > 0
+
+    @pytest.mark.parametrize("sweep", ["cg", "lexicographic"])
+    def test_walled_off_cell_and_floating_trees_keep_initial(self, sweep):
+        # an isolated cell has no equation; a floating path of three cells
+        # and a floating pair are trees that hang from no kept cell, and
+        # take the start value of the cell peeled last (the path's middle
+        # cell; of the pair, the cell of lower flat index)
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            grid = random_connected_grid(rng, 0.15, 0.1, lattice_config((6, 6, 6)))
+            wall_off(grid, (1, 1, 2), (2, 2, 3), inner_open=False)
+            wall_off(grid, (4, 1, 1), (5, 2, 4))
+            wall_off(grid, (1, 4, 2), (3, 5, 3))
+            try:
+                check_connected(grid)
+            except DegenerateNetworkError:
+                continue
+            break
+        initial = rng.uniform(-2.0, 0.0, (6, 6, 6))
+        p = solve_pressures(grid, 0.0, -2.0, sweep=sweep, initial=initial).pressure
+        assert p[1, 1, 2] == initial[1, 1, 2]
+        assert np.all(p[4, 1, 1:4] == initial[4, 1, 2])
+        assert np.all(p[1:3, 4, 2] == initial[1, 4, 2])
+
+    def test_all_side_facets_open_skips_the_peel(self, monkeypatch):
+        # the solves of the solver before the peel existed, byte for byte
+        def no_peel(*args):
+            raise AssertionError("peeled a lattice whose side facets are all open")
+
+        monkeypatch.setattr(hydraulics, "_peel", no_peel)
+        assert slab_solves_digest() == SLAB_SOLVES_SHA256
+
+    def test_closure_sweep_iterations(self):
+        # the full system took 1,781 iterations on this sweep, 135 on its
+        # last solve, before the dead ends were peeled off: now 1,045 and 49
+        assert closure_sweep(5) == CLOSURE_SWEEP_ITERATIONS
