@@ -126,18 +126,18 @@ def reference_cell_flow(grid: CellGrid, p_in: float, p_out: float) -> float:
     return 0.8 * gradient * area ** 2 * math.pi * mean_r2 / (perim ** 2 * grid.mu)
 
 
-def check_connected(grid: CellGrid) -> list[np.ndarray]:
+def check_connected(grid: CellGrid) -> None:
     """Raise DegenerateNetworkError unless an open path joins inlet to outlet.
 
     While every side facet is open, each layer is one connected slab, so
     with both windows non-empty the network splits only at a membrane with
     no open facet left; that is tested directly.  Otherwise a flood fill
-    from the inlet window decides.  Returns the open masks of the x, y and
-    z facets it read, which a solve reuses.
+    from the inlet window decides.
     """
-    masks = _open_masks(grid)
-    if _sides_open(masks) and grid.inlet_mask.any() and grid.outlet_mask.any():
-        connected = masks[2].any(axis=(0, 1)).all()
+    masks = [fam.open_mask(grid) for fam in _AXIS_FAMILIES]
+    *sides, z_open = masks
+    if all(m.all() for m in sides) and grid.inlet_mask.any() and grid.outlet_mask.any():
+        connected = z_open.any(axis=(0, 1)).all()
     else:
         reached = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
         reached[:, :, 0] = grid.inlet_mask
@@ -153,17 +153,6 @@ def check_connected(grid: CellGrid) -> list[np.ndarray]:
     if not connected:
         raise DegenerateNetworkError(
             "no open aperture path connects the inlet window to the outlet window")
-    return masks
-
-
-def _open_masks(grid: CellGrid) -> list[np.ndarray]:
-    """The open masks of the x, y and z facets."""
-    return [fam.open_mask(grid) for fam in _AXIS_FAMILIES]
-
-
-def _sides_open(masks) -> bool:
-    """Every side (x and y) facet open: each layer is one connected slab."""
-    return all(m.all() for m in masks[:2])
 
 
 # bit d of a cell's link mask: the facet toward its neighbour at flat offset
@@ -390,6 +379,8 @@ def _start_field(values, name: str, shape) -> np.ndarray:
     p = np.array(values, dtype=float, copy=True)
     if p.shape != shape:
         raise ValueError(f"{name} pressure shape {p.shape} != {shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} pressure has non-finite values")
     return p
 
 
@@ -407,8 +398,9 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     the iteration (a linear ramp otherwise).  ``guess`` is a second candidate
     start, such as a field extrapolated from earlier solves: it replaces
     ``initial`` on the active cells only when its max-norm net-flow residual
-    is strictly smaller, and never on window or isolated cells.  CG ranks
-    the two starts by the residual vector it iterates on: the inflow from
+    is strictly smaller, and never on window or isolated cells.  Both
+    starts must be finite everywhere (ValueError otherwise).  CG ranks the
+    two starts by the residual vector it iterates on: the inflow from
     the window cells, computed once since both starts pin the same window
     values, minus the operator applied to each start; the chosen start's
     vector is CG's first residual, so no solve recomputes it.  The
@@ -431,10 +423,11 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     buffers add nine and a half lattice-sized float32 arrays to a solve.
 
     Unless the lattice is at least two cells wide both ways with every side
-    facet open (the property ``check_connected``'s slab test reads), the
-    solve first peels the dead-end trees off the network (``_peel``): each
-    round removes every non-window cell with at most one linked neighbour
-    left, a link being a facet of positive conductance.  The removed facets
+    facet of positive conductance (then each layer is one slab, as in
+    ``check_connected``'s shortcut), the solve first peels the dead-end
+    trees off the network (``_peel``): each round removes every non-window
+    cell with at most one linked neighbour left, a link being a facet of
+    positive conductance.  The removed facets
     are zeroed on the solve's own stencil, so the removed cells have no
     equation, and both sweeps solve the kept cells alone.  Then each
     removed cell copies, round by round in reverse, the pressure of the one
@@ -449,12 +442,8 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     the peel cuts CG's mean iterations per solve from 92.2 to 58.9.
     ``PressureField.conductances`` stays the full ``conductance_arrays``.
     """
-    # the open masks, built once per solve
-    masks = check_connected(grid) if check_connectivity else _open_masks(grid)
-    # with two or more cells a side and every side facet open, every cell
-    # has two open in-layer facets: no dead end can exist
-    slab = grid.n_x >= 2 and grid.n_y >= 2 and _sides_open(masks)
-    del masks
+    if check_connectivity:
+        check_connected(grid)
     if tol is None:
         tol = 1e-6 * reference_cell_flow(grid, p_in, p_out)
     if not tol > 0:
@@ -464,6 +453,9 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
 
     n_x, n_y, n_z = grid.n_x, grid.n_y, grid.n_z
     g = conductance_arrays(grid)
+    # with two or more cells a side and every side facet conducting, every
+    # cell has two linked in-layer neighbours: no dead end can exist
+    slab = n_x >= 2 and n_y >= 2 and g[0].all() and g[1].all()
 
     if initial is not None:
         p = _start_field(initial, "initial", (n_x, n_y, n_z))

@@ -196,26 +196,20 @@ def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0):
     """Wall concentration for many channels at once (array radius and v0).
 
     Chooses the regime per element: diffusion-limited below the stationary
-    speed, convective matching above it, in closed form for order 1.  When
-    every element is convective, as on almost every facet of scenario 1,
-    the convective form runs on the whole arrays, with no gather or scatter.
+    speed, convective matching above it, in closed form for order 1.
     """
     r = np.atleast_1d(np.asarray(radius, dtype=float))
     v = np.atleast_1d(np.asarray(v0, dtype=float))
     c_slow = np.atleast_1d(wall_concentration_slow(chem, r, c0))
     v_stat = chem.rate_constant * c_slow ** chem.reaction_order / c0
-    conv = v > v_stat
-
-    def convective(r, v, c_slow):
-        if chem.reaction_order == 1:
-            return _convective_first_order(chem, r, c0, v)[1]
-        return _convective_general(chem, r, c0, v, c_slow)[1]
-
-    if conv.all():
-        return convective(r, v, c_slow)
     c1 = c_slow.copy()
+    conv = v > v_stat
     if np.any(conv):
-        c1[conv] = convective(r[conv], v[conv], c_slow[conv])
+        if chem.reaction_order == 1:
+            _, c_conv = _convective_first_order(chem, r[conv], c0, v[conv])
+        else:
+            _, c_conv = _convective_general(chem, r[conv], c0, v[conv], c_slow[conv])
+        c1[conv] = c_conv
     return c1
 
 

@@ -362,6 +362,20 @@ class TestSolverErrors:
             solve_pressures(grid, 0.0, -2.0, initial=np.zeros((2, 2, 2)))
 
     @pytest.mark.parametrize("sweep", ["cg", "lexicographic"])
+    @pytest.mark.parametrize("name", ["initial", "guess"])
+    def test_non_finite_start_rejected(self, name, sweep):
+        # even on a walled-off cell, which has no equation
+        grid = guess_grid()
+        grid.x_state[2:4, 3, 3] = ApertureState.SEDIMENT_SEALED
+        grid.y_state[3, 2:4, 3] = ApertureState.SEDIMENT_SEALED
+        grid.z_state[3, 3, 2:4] = ApertureState.SEDIMENT_SEALED
+        grid.z_open_count[3, 3, 2:4] = 0
+        start = solve_pressures(grid, 0.0, -2.0, sweep=sweep).pressure
+        start[3, 3, 3] = np.nan
+        with pytest.raises(ValueError, match=f"{name} pressure has non-finite"):
+            solve_pressures(grid, 0.0, -2.0, sweep=sweep, **{name: start})
+
+    @pytest.mark.parametrize("sweep", ["cg", "lexicographic"])
     def test_iteration_budget_enforced(self, sweep):
         grid = scenario_grid()
         with pytest.raises(ConvergenceError):

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from clogsim import sediment
 from clogsim.model import AVOGADRO, Chemistry
 from clogsim.sediment import (CONVECTIVE, DIFFUSION_LIMITED, CalibrationInfeasibleError,
-                              _bracketed_root, _convective_first_order, _convective_general,
-                              axial_depletion, calibrate_rate_constant, growth_rate,
-                              solve_slow_layer, stationary_velocity, velocity_profile,
+                              _bracketed_root, _convective_first_order, axial_depletion,
+                              calibrate_rate_constant, growth_rate, solve_slow_layer,
+                              stationary_velocity, velocity_profile,
                               wall_concentration_profile, wall_concentration_slow)
 
 from conftest import (CHANNEL_RADIUS, DIFFUSIVITY, ENTRANCE_CONCENTRATION, GROWTH,
@@ -233,39 +232,6 @@ class TestOracleGrid:
         for i in range(0, 300, 17):
             sol = solve_slow_layer(chem, float(radius[i]), c0, float(v0[i]))
             assert c1[i] == pytest.approx(sol.wall_concentration, rel=1e-12)
-
-    @pytest.mark.parametrize("order", [1, 2])
-    @pytest.mark.parametrize("slow_share", [0.0, 0.3])
-    def test_profile_bits_equal_per_regime_selection(self, order, slow_share, monkeypatch):
-        # all-convective input runs the convective form on the whole arrays;
-        # mixed input on the gathered convective elements: either way each
-        # element gets the bits of its own regime's formula
-        chem = _chem(n=order)
-        c0 = ENTRANCE_CONCENTRATION
-        rng = np.random.default_rng(11)
-        radius = 10 ** rng.uniform(-6.5, -4.5, size=400)
-        v_stat = stationary_velocity(chem, radius, c0)
-        v0 = v_stat * 10 ** rng.uniform(0.01, 2, size=400)
-        slow = rng.random(400) < slow_share
-        v0[slow] = v_stat[slow] * rng.uniform(0.1, 0.99, size=int(slow.sum()))
-        conv = ~slow
-        c_slow = wall_concentration_slow(chem, radius, c0)
-        if order == 1:
-            c_conv = _convective_first_order(chem, radius[conv], c0, v0[conv])[1]
-        else:
-            c_conv = _convective_general(chem, radius[conv], c0, v0[conv], c_slow[conv])[1]
-        want = c_slow.copy()
-        want[conv] = c_conv
-
-        sizes = []
-        name = "_convective_first_order" if order == 1 else "_convective_general"
-        form = getattr(sediment, name)
-        monkeypatch.setattr(sediment, name,
-                            lambda chem, r, *rest: sizes.append(r.size) or form(chem, r, *rest))
-        got = wall_concentration_profile(chem, radius, c0, v0)
-        assert got.tobytes() == want.tobytes()
-        assert sizes == [int(conv.sum())]
-        assert (slow_share == 0.0) == (sizes == [400])
 
 
 class TestGrowthRate:
