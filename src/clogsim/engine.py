@@ -41,7 +41,8 @@ from .model import _FACET_FAMILIES, ApertureState, CellGrid, FilterConfig, build
 from .hydraulics import (DegenerateNetworkError, FlowField, Hierarchy, _flows,
                          flows_from_pressures, reference_cell_flow, solve_pressures,
                          total_flow)
-from .sediment import axial_depletion, growth_rate, wall_concentration_profile
+from .sediment import (axial_depletion, growth_rate, solve_slow_layer,
+                       wall_concentration_profile)
 
 BLOCKING_SIMPLE = "simple"
 BLOCKING_CORRECTED = "corrected"
@@ -351,7 +352,7 @@ def _depletion_warning(state: SimulationState, kinetics) -> bool:
     z_speed = kinetics[0][2]
     speed = float(z_speed.mean()) if z_speed.size else 0.0
     cavity = (cfg.h_x + cfg.h_y + cfg.h_z) / 3.0
-    c1 = float(wall_concentration_profile(chem, cavity, cfg.c0_entrance, speed)[0])
+    c1 = solve_slow_layer(chem, cavity, cfg.c0_entrance, speed).wall_concentration
     est = axial_depletion(chem, cavity, cfg.c0_entrance, c1, speed, cfg.L_z,
                           threshold=cfg.depletion_threshold)
     return not est.negligible

@@ -132,7 +132,10 @@ def check_connected(grid: CellGrid) -> None:
     While every side facet is open, each layer is one connected slab, so
     with both windows non-empty the network splits only at a membrane with
     no open facet left; that is tested directly.  Otherwise a flood fill
-    from the inlet window decides.
+    from the inlet window decides.  It grows the reached cells in place,
+    each axis in turn seeing what the ones before it reached, and stops as
+    soon as it reaches an outlet window cell, or, with the network split,
+    at the first pass that reaches no new cell.
     """
     masks = [fam.open_mask(grid) for fam in _AXIS_FAMILIES]
     *sides, z_open = masks
@@ -141,15 +144,16 @@ def check_connected(grid: CellGrid) -> None:
     else:
         reached = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
         reached[:, :, 0] = grid.inlet_mask
+        steps = [np.empty(m.shape, dtype=bool) for m in masks]
+        count = -1
         while True:
-            nxt = reached.copy()
-            for open_, (lo, hi) in zip(masks, _SIDES):
-                nxt[hi] |= reached[lo] & open_
-                nxt[lo] |= reached[hi] & open_
-            if np.array_equal(nxt, reached):
+            connected = np.any(reached[:, :, -1] & grid.outlet_mask)
+            before, count = count, np.count_nonzero(reached)
+            if connected or count == before:
                 break
-            reached = nxt
-        connected = np.any(reached[:, :, -1] & grid.outlet_mask)
+            for open_, (lo, hi), step in zip(masks, _SIDES, steps):
+                reached[hi] |= np.logical_and(reached[lo], open_, out=step)
+                reached[lo] |= np.logical_and(reached[hi], open_, out=step)
     if not connected:
         raise DegenerateNetworkError(
             "no open aperture path connects the inlet window to the outlet window")
@@ -420,7 +424,8 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     its stopping rule run in float64 and the preconditioner in float32,
     scaled by a power of two so that the result does not depend on the
     units of ``grid.mu``.  The float32 copy of the finest level and its
-    buffers add nine and a half lattice-sized float32 arrays to a solve.
+    buffers add nine and a half lattice-sized float32 arrays to a solve,
+    and the mask of its active cells a bool one.
 
     Unless the lattice is at least two cells wide both ways with every side
     facet of positive conductance (then each layer is one slab, as in
@@ -575,8 +580,8 @@ class _Level:
         self.stencil = _stencil([facets * scale for *_, facets in operator.stencil],
                                 np.float32)
         self.diag = (operator.diag * scale).astype(np.float32)
-        self.smooth = np.divide(_SMOOTHING, self.diag, out=np.zeros_like(self.diag),
-                                where=self.diag > 0)
+        with np.errstate(divide="ignore"):
+            self.smooth = np.where(self.diag > 0, _SMOOTHING / self.diag, 0.0)
         self.half = np.empty(((self.diag.shape[0] + 1) // 2,) + self.diag.shape[1:],
                              np.float32)
         self.res, self.rhs, self.x = (np.empty_like(self.diag) for _ in range(3))
@@ -761,6 +766,11 @@ class _VCycle:
     each solve.  The cycle is symmetric up to float32 rounding only, which
     CG tolerates.
 
+    The coarse corrections spread values onto the cells without an
+    equation, which no active cell sees.  The result is multiplied by the
+    bool mask of the active cells (``den > 0``) on its way out, so it is
+    exactly zero there, and so is every CG search direction built from it.
+
     ``stencil`` and ``den`` give the finest operator in float64 and must
     already be zero off the active cells; ``window`` is each active cell's
     conductance to the window cells.  The levels under the finest come from
@@ -773,11 +783,11 @@ class _VCycle:
         coarse, self.bottom_inverse, self.scale = (
             hierarchy if hierarchy is not None else Hierarchy()).levels_under(finest, window)
         self.levels = [_Level(finest, self.scale), *coarse]
+        self.active = den > 0
 
     def __call__(self, r, out):
         """Write the preconditioned float64 ``r`` into the float64 ``out``.
-        ``r`` must vanish off the active cells; ``out`` holds arbitrary
-        finite values there."""
+        ``r`` must vanish off the active cells; ``out`` is zero there."""
         levels = self.levels
         np.multiply(r, self.scale, out=levels[0].rhs)
         for fine, coarse in zip(levels, levels[1:]):
@@ -795,8 +805,8 @@ class _VCycle:
             np.subtract(fine.rhs, fine.res, out=fine.res)
             fine.res *= fine.smooth
             fine.x += fine.res
-        out[...] = levels[0].x
-        return out
+        # zero where the coarse corrections spread onto cells without an equation
+        return np.multiply(levels[0].x, self.active, out=out)
 
 
 def _restrict_to_active(stencil, den, active, fixed, work):
@@ -821,8 +831,10 @@ def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hie
 
     Starts from ``trial`` instead of ``p`` when ``trial`` is not None and
     its residual is strictly smaller; the two agree off the active cells.
-    Iterates on the start in place, on the active cells only: the others
-    keep their values, which must be finite.  Overwrites ``stencil``,
+    Iterates on the start in place.  The search direction is zero off the
+    active cells, as the V-cycle's output is, so each step is a plain add
+    that leaves the others their values, which must be finite (a -0.0
+    there may come back as +0.0).  Overwrites ``stencil``,
     ``den`` and ``work``.  The residual vector CG carries is exactly the
     per-cell net flow, so the stopping rule is the same max-norm bound the
     Gauss-Seidel reference uses.  Floating regions (no path to a window) have balanced
@@ -869,8 +881,8 @@ def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hie
                 f"{dq:.3e} is not positive, residual {residual:.3e} > tol {tol:.3e}")
         alpha = rho / dq
         d *= alpha       # d holds the step from here on
-        # the cells without an equation keep their values: d is arbitrary there
-        np.add(p, d, out=p, where=active)
+        # the cells without an equation keep their values: d is zero there
+        p += d
         q *= alpha
         r -= q
         residual = max_abs(r)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -16,9 +18,10 @@ from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceE
                                 flows_from_pressures, outlet_flow,
                                 pressure_csv, reference_cell_flow, solve_pressures,
                                 total_flow)
+from clogsim.cli import parse_config
 from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig, build_grid
 
-from conftest import DATA_DIR, cell_net_outflow
+from conftest import CONFIG_DIR, DATA_DIR, cell_net_outflow
 
 # the float32 multigrid cycle must neither overflow nor produce NaN
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -390,10 +393,10 @@ class TestSolverErrors:
             check_connected(grid)
 
 
-def bfs_connected(grid) -> bool:
-    """Reference for ``check_connected``: a breadth-first search over the
-    cells, stepping through a facet when its state is open (and, for a
-    z-facet, a sub-aperture is left)."""
+def bfs_reach(grid) -> set[tuple[int, int, int]]:
+    """Reference for ``check_connected``'s flood: a breadth-first search over
+    the cells from the inlet window, stepping through a facet when its state
+    is open (and, for a z-facet, a sub-aperture is left)."""
     passes = (grid.x_state == ApertureState.OPEN, grid.y_state == ApertureState.OPEN,
               (grid.z_state == ApertureState.OPEN) & (grid.z_open_count > 0))
     shape = (grid.n_x, grid.n_y, grid.n_z)
@@ -412,6 +415,13 @@ def bfs_connected(grid) -> bool:
                 if passes[axis][tuple(facet)] and tuple(nb) not in seen:
                     seen.add(tuple(nb))
                     queue.append(tuple(nb))
+    return seen
+
+
+def bfs_connected(grid) -> bool:
+    """Reference for ``check_connected``: whether ``bfs_reach`` reaches an
+    outlet window cell."""
+    seen = bfs_reach(grid)
     return any((int(i), int(j), grid.n_z - 1) in seen
                for i, j in zip(*np.nonzero(grid.outlet_mask)))
 
@@ -442,6 +452,20 @@ def verdict(grid) -> bool:
     except DegenerateNetworkError:
         return False
     return True
+
+
+class CountingNumpy:
+    """numpy, recording what its ``count_nonzero`` returns."""
+
+    def __init__(self):
+        self.counts = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, a):
+        self.counts.append(int(np.count_nonzero(a)))
+        return self.counts[-1]
 
 
 class TestConnectivity:
@@ -480,6 +504,32 @@ class TestConnectivity:
         assert not bfs_connected(grid)
         with pytest.raises(DegenerateNetworkError):
             check_connected(grid)
+
+    def test_flood_near_percolation_matches_search(self, monkeypatch):
+        # closure sweeps up to two rounds past the disconnect: a connected
+        # network stops the flood at the outlet, mostly before it has
+        # reached every cell joined to the inlet; a split one stops at the
+        # first pass that reaches no new cell
+        counting = CountingNumpy()
+        monkeypatch.setattr(hydraulics, "np", counting)
+        early = fixpoints = 0
+        for seed, n in [(1, 12), (2, 14), (3, 16)]:
+            split = 0
+            for grid in closures(seed, n):
+                counting.counts.clear()
+                want = bfs_connected(grid)
+                assert verdict(grid) == want, (seed, n)
+                reached = len(bfs_reach(grid))
+                if want:
+                    assert counting.counts[-1] <= reached
+                    early += counting.counts[-1] < reached
+                else:
+                    assert counting.counts[-2:] == [reached, reached]
+                    fixpoints += 1
+                    split += 1
+                    if split == 2:
+                        break
+        assert early >= 10 and fixpoints == 6
 
     @pytest.mark.parametrize("window", ["inlet_mask", "outlet_mask"])
     def test_empty_window_raises(self, window):
@@ -844,6 +894,21 @@ class TestMultigrid:
         assert_symmetric_positive(precondition, active, rng)
 
     @pytest.mark.parametrize("floating", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_preconditioned_vector_is_zero_off_the_active_cells(self, shape, floating):
+        # the coarse corrections spread values onto the cells without an
+        # equation; the cycle's output drops them, so CG's step needs no mask
+        rng = np.random.default_rng(11 * sum(shape) + floating)
+        precondition, active = preconditioner(holed_grid(rng, shape, floating))
+        finest = precondition.levels[0]
+        for _ in range(3):
+            r = np.where(active, rng.standard_normal(shape), 0.0)
+            out = precondition(r, np.full(shape, np.nan))
+            assert np.any(finest.x[~active] != 0.0)
+            assert np.all(out[~active] == 0.0)
+            assert np.array_equal(out[active], finest.x[active])
+
+    @pytest.mark.parametrize("floating", [True, False])
     def test_isolated_or_floating_aggregate_has_zero_row(self, floating):
         grid = holed_grid(np.random.default_rng(3), (6, 6, 6), floating)
         level = float64_build(grid)[0][1]
@@ -1158,31 +1223,47 @@ CLOSURE_SWEEP_ITERATIONS = [18, 16, 18, 20, 20, 20, 21, 23, 23, 26, 25, 28, 28, 
                             38, 42, 45, 59, 71, 66, 65, 88, 74, 66, 49]
 
 
-def closure_sweep(seed: int, n: int = 16) -> list[int]:
-    """CG iterations of each solve as random closures pile up on an n^3
-    lattice with scenario 1's apertures, each solve warm-started from the
-    last, until the network disconnects: each round seals 5% of the still
-    open facets of every family."""
-    window = ((n // 3, n - n // 3), (n // 3, n - n // 3))
-    grid = build_grid(make_config(L_x=5e-5 * n, L_y=5e-5 * n, L_z=5e-5 * n,
-                                  n_x=n, n_y=n, n_z=n, r_filter=1.19e-5, r_side=2.5e-5,
-                                  inlet_window=window, outlet_window=window))
+def close_in_rounds(grid, seed: int):
+    """Yield ``grid`` after each round of random closures, changed in place:
+    each round seals 5% of the still open facets of every family."""
     rng = np.random.default_rng(seed)
     states = (grid.z_state, grid.x_state, grid.y_state)
     orders = [rng.permutation(state.size) for state in states]
     done = [0, 0, 0]
-    iterations, pressure = [], None
     while True:
         for f, (state, order) in enumerate(zip(states, orders)):
             k = math.ceil(0.05 * (order.size - done[f]))
             np.put(state, order[done[f]:done[f] + k], ApertureState.SEDIMENT_SEALED)
             done[f] += k
+        yield grid
+
+
+def closures(seed: int, n: int):
+    """``close_in_rounds`` on an n^3 lattice with scenario 1's apertures and
+    inner windows."""
+    window = ((n // 3, n - n // 3), (n // 3, n - n // 3))
+    grid = build_grid(make_config(L_x=5e-5 * n, L_y=5e-5 * n, L_z=5e-5 * n,
+                                  n_x=n, n_y=n, n_z=n, r_filter=1.19e-5, r_side=2.5e-5,
+                                  inlet_window=window, outlet_window=window))
+    return close_in_rounds(grid, seed)
+
+
+def closure_solves(seed: int, n: int = 16):
+    """The grid and the field of each CG solve of ``closures(seed, n)``,
+    each warm-started from the last, until the network disconnects."""
+    pressure = None
+    for grid in closures(seed, n):
         try:
             field = solve_pressures(grid, 0.0, -2.0, initial=pressure)
         except DegenerateNetworkError:
-            return iterations
+            return
         pressure = field.pressure
-        iterations.append(field.iterations)
+        yield grid, field
+
+
+def closure_sweep(seed: int, n: int = 16) -> list[int]:
+    """CG iterations of each solve of ``closure_solves``."""
+    return [field.iterations for _, field in closure_solves(seed, n)]
 
 
 # captured from the solver as it was before the dead-end peel existed
@@ -1214,6 +1295,47 @@ def slab_solves_digest() -> str:
             digest.update(field.pressure.tobytes())
             digest.update(repr((field.iterations, field.residual)).encode())
     return digest.hexdigest()
+
+
+# captured from the solver as it was while CG's step was masked to the
+# active cells
+CLOSURE_SOLVES_SHA256 = "8cf1775f654b649a9eea621ce9c4e996106786104b3b3da8de1a7f8988c68c6c"
+
+
+def network_kinds(grid) -> set[str]:
+    """Which kinds of cells the solve of ``grid`` meets besides the window
+    connected ones: "peeled" dead-end trees, "floating" clusters kept in
+    the system with no path to a window, "walled-off" cells with no link."""
+    g = conductance_arrays(grid)
+    shape = (grid.n_x, grid.n_y, grid.n_z)
+    fixed = np.zeros(shape, dtype=bool)
+    fixed[:, :, 0] = grid.inlet_mask
+    fixed[:, :, -1] |= grid.outlet_mask
+    linked = _neighbor_sums(np.ones(shape), _stencil(g), np.empty(shape)) > 0
+    rounds = hydraulics._peel(g, fixed)
+    kept = linked if rounds is None else linked & (rounds == 0)
+    kinds = set()
+    if rounds is not None:
+        kinds.add("peeled")
+    if np.any(kept & ~window_connected(grid)):
+        kinds.add("floating")
+    if np.any(~fixed & ~linked):
+        kinds.add("walled-off")
+    return kinds
+
+
+def closure_solves_digest() -> tuple[str, set[str]]:
+    """SHA-256 of the pressures, iterations and residuals of the CG closure
+    sweeps of a 12^3 and a 16^3 lattice, and the ``network_kinds`` their
+    solves met."""
+    digest = hashlib.sha256()
+    kinds = set()
+    for seed, n in [(11, 12), (12, 16)]:
+        for grid, field in closure_solves(seed, n):
+            digest.update(field.pressure.tobytes())
+            digest.update(repr((field.iterations, field.residual)).encode())
+            kinds |= network_kinds(grid)
+    return digest.hexdigest(), kinds
 
 
 class TestDeadEndPeel:
@@ -1295,3 +1417,39 @@ class TestDeadEndPeel:
         # the full system took 1,781 iterations on this sweep, 135 on its
         # last solve, before the dead ends were peeled off: now 1,045 and 49
         assert closure_sweep(5) == CLOSURE_SWEEP_ITERATIONS
+
+
+# tracemalloc peak of the solve in ``test_network_solve_peak_memory``
+# while CG's step was masked to the active cells
+NETWORK_SOLVE_PEAK_BYTES = 5_031_604
+
+
+class TestUnmaskedStep:
+    def test_closure_solves_bit_for_bit(self):
+        # CG's search direction is zero off the active cells, so its step
+        # is a plain add: no bit of a solve moved, and the sweeps meet every
+        # kind of cell without an equation
+        digest, kinds = closure_solves_digest()
+        assert kinds == {"peeled", "floating", "walled-off"}
+        assert digest == CLOSURE_SOLVES_SHA256
+
+    def test_network_solve_peak_memory(self):
+        # one solve of the network-degrade benchmark (32^3, closure seed 7,
+        # round 24) holds at most 0.1 MB more than the masked step did
+        n, length = 32, 32 * 5e-5
+        config = dataclasses.replace(
+            parse_config(CONFIG_DIR / "scenario1.cfg"), n_x=n, n_y=n, n_z=n,
+            L_x=length, L_y=length, L_z=length,
+            inlet_window=((11, 22), (11, 22)), outlet_window=((11, 22), (11, 22)))
+        grid = build_grid(config)
+        for _ in zip(range(24), close_in_rounds(grid, 7)):
+            pass
+        p_out = config.p_grad * config.L_z
+        solve_pressures(grid, 0.0, p_out)    # first-use allocations out of the count
+        tracemalloc.start()
+        try:
+            solve_pressures(grid, 0.0, p_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= NETWORK_SOLVE_PEAK_BYTES + 100_000
