@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .engine import pass_probability
+from .hydraulics import _conduit_coefficient
 from .model import FilterConfig
 
 
@@ -146,10 +147,11 @@ def lifetime_estimates(config: FilterConfig) -> LifetimeEstimate:
 
     Treats every cell column as carrying half an aperture's worth of flow
     and every membrane as needing its apertures hit once.  The per-aperture
-    flow is pi h^2 r^2 |dp/dz| / (20 mu) for cubic cells of side h; the
-    exposure to block the filter is layer_count / aperture_flow, and the
-    caught-particle capacity works out to n_x n_y n_z / 2 independent of
-    geometry.  Assumes cubic cells and uses the mean membrane radius.
+    flow is the pressure network's conduit law, pi h^2 r^2 |dp/dz| / (20 mu)
+    for cubic cells of side h; the exposure to block the filter is
+    layer_count / aperture_flow, and the caught-particle capacity works out
+    to n_x n_y n_z / 2 independent of geometry.  Assumes cubic cells and
+    uses the mean membrane radius.
     """
     h = config.h_z
     if not (math.isclose(config.h_x, h, rel_tol=1e-9)
@@ -158,7 +160,10 @@ def lifetime_estimates(config: FilterConfig) -> LifetimeEstimate:
     r = float(np.mean(config.filter_radii()))
     if not r > 0:
         raise ValueError("mean filtering radius must be positive")
-    aperture_flow = math.pi * h * h * r * r * abs(config.p_grad) / (20.0 * config.mu)
+    # the conduit law under the gradient p_grad, over a unit length
+    coeff = _conduit_coefficient(config.h_x * config.h_y, 2.0 * (config.h_x + config.h_y),
+                                 config.mu, 1.0)
+    aperture_flow = coeff * math.pi * r * r * abs(config.p_grad)
     total = 0.5 * aperture_flow * config.n_x * config.n_y
     exposure = config.n_z / aperture_flow
     if config.N_particles > 0:

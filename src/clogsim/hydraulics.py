@@ -24,14 +24,15 @@ left untouched and carries no flow.
 
 A dead-end branch carries no flow: a cell with one open facet must hold
 the pressure of the neighbour across it.  Before the solve, the dead-end
-trees are peeled off, leaf by leaf, and their facets dropped from the
-system; after it, each removed cell copies the pressure of the cell it
-hung from, in reverse order of removal.  The kept cells solve the same
-equations as in the full system, so the residual bound holds on every
-cell, and each dead-end facet carries exactly zero flow.  Near the point
-where closures disconnect the network, most open cells lie on such
-branches.  With every side facet open, no cell can be a leaf, and the
-peel is skipped.
+trees are peeled off in rounds over the whole lattice, each round taking
+every leaf at once, and their facets dropped from the system.  Each
+removed cell keeps one bit of its link mask, the one toward the cell it
+hung from; after the solve, it copies that cell's pressure, in reverse
+order of removal.  The kept cells solve the same equations as in the full
+system, so the residual bound holds on every cell, and each dead-end facet
+carries exactly zero flow.  Near the point where closures disconnect the
+network, most open cells lie on such branches.  With every side facet
+open, no cell can be a leaf, and the peel is skipped.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ class FlowField:
     flow_z: np.ndarray     # (n_x, n_y, n_z - 1), m^3/s
 
 
+def _conduit_coefficient(section_area, section_perimeter, mu, length):
+    """0.8 S^2 / (P^2 mu L): a conduit's flow per unit aperture area and
+    unit pressure drop over the length L between two cell centres."""
+    return 0.8 * section_area ** 2 / (section_perimeter ** 2 * mu * length)
+
+
 def aperture_flow(p_a: float, p_b: float, center_dist: float, section_area: float,
                   section_perimeter: float, aperture_area: float, mu: float) -> float:
     """Flow from cell a to cell b through one aperture, m^3/s (signed)."""
@@ -88,8 +95,8 @@ def aperture_flow(p_a: float, p_b: float, center_dist: float, section_area: floa
         raise ValueError(f"center_dist must be positive (m), got {center_dist!r}")
     if not mu > 0:
         raise ValueError(f"mu must be positive (Pa s), got {mu!r}")
-    gradient = (p_b - p_a) / center_dist
-    return -0.8 * gradient * section_area ** 2 * aperture_area / (section_perimeter ** 2 * mu)
+    coeff = _conduit_coefficient(section_area, section_perimeter, mu, center_dist)
+    return coeff * aperture_area * (p_a - p_b)
 
 
 def conductance_arrays(grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,9 +109,8 @@ def conductance_arrays(grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     out = []
     for fam in _AXIS_FAMILIES:
         section_a, section_b = (h[a] for a in range(3) if a != fam.axis)
-        area = section_a * section_b
-        perim = 2.0 * (section_a + section_b)
-        coeff = 0.8 * area ** 2 / (perim ** 2 * grid.mu * h[fam.axis])
+        coeff = _conduit_coefficient(section_a * section_b, 2.0 * (section_a + section_b),
+                                     grid.mu, h[fam.axis])
         _, radius, state, open_count = fam.arrays(grid)
         g = np.where(state == ApertureState.OPEN, coeff * math.pi * radius ** 2, 0.0)
         if fam.filtering:
@@ -119,11 +125,9 @@ def reference_cell_flow(grid: CellGrid, p_in: float, p_out: float) -> float:
     Used to scale the default solver tolerance and the flow-stop threshold.
     """
     mean_r2 = float(np.mean(grid.z_radius0 ** 2))
-    length = grid.h_z * grid.n_z
-    gradient = abs(p_out - p_in) / length
-    area = grid.h_x * grid.h_y
-    perim = 2.0 * (grid.h_x + grid.h_y)
-    return 0.8 * gradient * area ** 2 * math.pi * mean_r2 / (perim ** 2 * grid.mu)
+    coeff = _conduit_coefficient(grid.h_x * grid.h_y, 2.0 * (grid.h_x + grid.h_y), grid.mu,
+                                 grid.h_z * grid.n_z)
+    return coeff * math.pi * mean_r2 * abs(p_out - p_in)
 
 
 def check_connected(grid: CellGrid) -> None:
@@ -160,10 +164,9 @@ def check_connected(grid: CellGrid) -> None:
 
 
 # bit d of a cell's link mask: the facet toward its neighbour at flat offset
-# ``_steps(shape)[d]`` (x up, x down, y up, y down, z up, z down) conducts
+# ``_steps(shape)[d]`` (x up, x down, y up, y down, z up, z down) conducts;
+# each down bit is its axis's up bit shifted left by one
 _BITS = np.array([1, 2, 4, 8, 16, 32], dtype=np.uint8)
-# the bit of the same facet in the mask of the neighbour across it
-_BACK = _BITS.reshape(3, 2)[:, ::-1].ravel()
 
 
 def _steps(shape) -> np.ndarray:
@@ -184,106 +187,46 @@ def _links(g) -> np.ndarray:
     return links.reshape(-1)
 
 
-def _at_most_one(bits, out, work):
-    """Into bool ``out``: which link masks ``bits`` have one bit set at
-    most; ``work`` is uint8 scratch as long as ``bits``."""
-    np.subtract(bits, 1, out=work)
-    np.bitwise_and(work, bits, out=work)
-    return np.equal(work, 0, out=out)
-
-
-def _compact(select, values, out, work, spare) -> int:
-    """Write ``values[select]`` to the front of ``out``, whose last element
-    takes the others, and return their number; ``work`` (intp) and
-    ``spare`` (bool) are scratch as long as ``values``."""
-    np.copyto(work, select)
-    np.add.accumulate(work, out=work)
-    count = int(work[-1])
-    work -= 1
-    np.logical_not(select, out=spare)
-    np.copyto(work, -1, where=spare)
-    np.put(out, work, values)
-    return count
-
-
-def _peel(g, fixed) -> np.ndarray | None:
+def _peel(g, fixed):
     """The dead-end trees of the network with facet conductances ``g``: per
-    cell, the round in which peeling removed it, 0 for a cell that stays.
+    cell, the round in which peeling removed it (0 for a cell that stays),
+    and the link masks left at the end; None if nothing is removed.
 
-    Each round removes every cell outside the ``fixed`` window cells that
-    has at most one linked neighbour left, as in burning off the dangling
-    ends of a percolation cluster; the links to it are cleared, and only
-    the neighbours across them are looked at again.  Two leaves linked
-    only to each other (the last pair of a tree that hangs from no kept
-    cell) would each be the other's attachment, so the one of lower flat
-    index waits a round and goes with no neighbour left: then no removed
-    cell has a neighbour removed in its own round.  Cells that start with
-    no link have no equation and are left out.  The array takes the
-    smallest unsigned dtype that holds the round count; None if nothing is
-    removed.
-
-    The rounds work in slices of lattice-sized buffers, through ``out=``
-    and ``mode="wrap"`` (whose ``take`` needs no buffer of its own): numpy
-    keeps every freed array under 1 KiB in a cache, a few per size, which
-    the frontier sizes of a long run would fill with megabytes.
+    Each round removes every linked cell outside the ``fixed`` window cells
+    that has at most one link bit left, as in burning off the dangling ends
+    of a percolation cluster, and clears the bits that point back at the
+    removed cells from their neighbours.  Two leaves linked only to each
+    other (the last pair of a tree that hangs from no kept cell) would each
+    be the other's attachment, so the one of lower flat index waits a round
+    and goes with no bit left.  So each removed cell keeps exactly the bit
+    of its attachment, a cell kept or removed in a later round, or none.
+    Cells that start with no link have no equation and are left out.  The
+    rounds take the smallest unsigned dtype that holds their count.
     """
     links = _links(g)
-    size = links.size
-    links[fixed.reshape(-1)] |= 0xC0     # two spare bits: never a leaf
-    # by a leaf's link bits (one at most): the step to the neighbour, and
-    # the mask that clears the bit back (none for a leaf without a link,
-    # which then points at itself)
-    step_of = np.zeros(_BITS[-1] + 1, dtype=np.intp)
-    step_of[_BITS] = _steps(fixed.shape)
-    clear_of = np.full(_BITS[-1] + 1, 0xFF, dtype=np.uint8)
-    clear_of[_BITS] = ~_BACK
-    rounds = np.zeros(size, dtype=np.uint8)
-    index = np.arange(size)
-    leaves = np.empty(size + 1, dtype=np.intp)    # one more for ``_compact``
-    near, slot, work = (np.empty(size, dtype=np.intp) for _ in range(3))
-    bits, word, spare = (np.empty(size, dtype=np.uint8) for _ in range(3))
-    ok, yes = (np.empty(size, dtype=bool) for _ in range(2))
-    seen = np.empty(size, dtype=rounds.dtype)
-
-    _at_most_one(links, ok, word)
-    ok &= links != 0
-    k = _compact(ok, index, leaves, work, yes)
+    alive = (links != 0) & ~fixed.reshape(-1)
+    rounds = np.zeros(links.size, dtype=np.uint8)
+    axes = list(zip(_steps(fixed.shape)[::2], _BITS[::2]))
     r = 0
-    while k:
+    while True:
+        leaf = alive & (links & (links - 1) == 0)
+        bits = links * leaf
+        for s, up in axes:
+            # the lower cell of a pair linked only to each other waits
+            held = bits[:-s] & (bits[s:] >> 1) & up
+            bits[:-s] ^= held
+            leaf[:-s] &= held == 0
+        if not leaf.any():
+            break
         r += 1
         if r > np.iinfo(rounds.dtype).max:
             rounds = rounds.astype(np.min_scalar_type(r))
-            seen = np.empty(size, dtype=rounds.dtype)
-        now, to, w = leaves[:k], near[:k], work[:k]
-        b, t, s, o, y = bits[:k], word[:k], spare[:k], ok[:k], yes[:k]
-        np.take(links, now, out=b, mode="wrap")
-        np.take(step_of, b, out=to, mode="wrap")
-        to += now
-        rounds[now] = r
-        # a leaf and its neighbour linked to it alone: the lower one waits
-        np.take(links, to, out=t, mode="wrap")
-        _at_most_one(t, o, s)
-        np.less(now, to, out=y)
-        y &= o
-        if np.count_nonzero(y):
-            rounds[now[y]] = 0
-            np.copyto(to, now, where=y)
-            np.copyto(b, 0, where=y)
-        np.take(clear_of, b, out=t, mode="wrap")
-        np.bitwise_and.at(links, to, t)
-        # the next leaves: neighbours still in, with one link at most, once
-        # each (of repeats, the one whose index ``slot`` kept)
-        np.take(links, to, out=t, mode="wrap")
-        _at_most_one(t, o, s)
-        np.take(rounds, to, out=seen[:k], mode="wrap")
-        np.equal(seen[:k], 0, out=y)
-        o &= y
-        np.put(slot, to, index[:k])
-        np.take(slot, to, out=w, mode="wrap")
-        np.equal(w, index[:k], out=y)
-        o &= y
-        k = _compact(o, to, leaves, w, y)
-    return rounds.reshape(fixed.shape) if r else None
+        np.copyto(rounds, r, where=leaf)
+        alive &= ~leaf
+        for s, up in axes:
+            links[s:] &= ~((bits[:-s] & up) << 1)
+            links[:-s] &= ~((bits[s:] >> 1) & up)
+    return (rounds.reshape(fixed.shape), links.reshape(fixed.shape)) if r else None
 
 
 def _cut(stencil, rounds) -> None:
@@ -294,44 +237,20 @@ def _cut(stencil, rounds) -> None:
         up *= stays[s:]
 
 
-def _back_fill(p, rounds, g) -> None:
+def _back_fill(p, rounds, links) -> None:
     """Give every removed cell of ``p`` the pressure of its attachment, in
-    place: the one neighbour still in the system when the cell was removed.
+    place: the cell across the one bit that ``_peel`` left in its link mask.
 
     Rounds run in reverse, so an attachment removed later already holds its
-    value.  A cell removed with no neighbour left keeps its own value.  As
-    in ``_peel``, the arrays of a data-dependent length are slices of
-    lattice-sized ones.
+    value.  A cell removed with no bit left keeps its own value.
     """
     flat_p, flat_r = p.reshape(-1), rounds.reshape(-1)
-    size, n = flat_r.size, np.count_nonzero(flat_r)
-    # the removed cells, latest round first
-    cells = np.argsort(flat_r, kind="stable")[::-1][:n]
-    r, near_r = (np.empty(size, dtype=rounds.dtype)[:n] for _ in range(2))
-    bits, link = (np.empty(size, dtype=np.uint8)[:n] for _ in range(2))
-    near, source = (np.empty(size, dtype=np.intp)[:n] for _ in range(2))
-    hold, held = (np.empty(size, dtype=bool)[:n] for _ in range(2))
-    np.take(flat_r, cells, out=r, mode="wrap")
-    np.take(_links(g), cells, out=bits, mode="wrap")
-    np.copyto(source, cells)
-    for bit, step in zip(_BITS, _steps(p.shape)):
-        np.add(cells, step, out=near)
-        np.take(flat_r, near, out=near_r, mode="wrap")
-        # linked, to a cell kept or removed in a later round
-        np.equal(near_r, 0, out=held)
-        np.greater(near_r, r, out=hold)
-        held |= hold
-        np.bitwise_and(bits, bit, out=link)
-        np.not_equal(link, 0, out=hold)
-        hold &= held
-        np.copyto(source, near, where=hold)
-    values = np.empty(size)[:n]
-    np.not_equal(r[1:], r[:-1], out=hold[1:])
-    start = 0
-    for end in [*np.flatnonzero(hold[1:]) + 1, n]:
-        np.take(flat_p, source[start:end], out=values[start:end], mode="wrap")
-        np.put(flat_p, cells[start:end], values[start:end])
-        start = end
+    step_of = np.zeros(2 * _BITS[-1], dtype=np.intp)
+    step_of[_BITS] = _steps(p.shape)
+    source = step_of[links.reshape(-1)] + np.arange(flat_r.size)
+    for r in range(int(flat_r.max()), 0, -1):
+        cells = np.flatnonzero(flat_r == r)
+        flat_p[cells] = flat_p[source[cells]]
 
 
 def _stencil(g, dtype=np.float64):
@@ -430,21 +349,23 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     Unless the lattice is at least two cells wide both ways with every side
     facet of positive conductance (then each layer is one slab, as in
     ``check_connected``'s shortcut), the solve first peels the dead-end
-    trees off the network (``_peel``): each round removes every non-window
-    cell with at most one linked neighbour left, a link being a facet of
-    positive conductance.  The removed facets
-    are zeroed on the solve's own stencil, so the removed cells have no
-    equation, and both sweeps solve the kept cells alone.  Then each
-    removed cell copies, round by round in reverse, the pressure of the one
-    neighbour still in the system when it was removed (``_back_fill``).
-    Every dead-end facet then carries exactly zero flow, and since the kept
-    cells' equations are those of the full system, the reported residual is
-    the full system's.  A tree that hangs from no kept cell takes the value
-    its last removed cell had in the start, as an isolated cell keeps its
-    own.  The peel's state during the solve is one array of removal rounds,
-    of the smallest unsigned dtype that holds them.  On a 32^3 lattice
-    closed towards percolation (the ``network-degrade`` benchmark, seed 7)
-    the peel cuts CG's mean iterations per solve from 92.2 to 58.9.
+    trees off the network (``_peel``): each round, over the whole lattice,
+    removes every linked non-window cell with at most one link bit left, a
+    link being a facet of positive conductance, and clears the bits that
+    point back at the removed cells.  The removed facets are zeroed on the
+    solve's own stencil, so the removed cells have no equation, and both
+    sweeps solve the kept cells alone.  Each removed cell keeps the one bit
+    of its attachment, the neighbour still in the system when it was
+    removed; after the solve, it copies that neighbour's pressure, round by
+    round in reverse (``_back_fill``).  Every dead-end facet then carries
+    exactly zero flow, and since the kept cells' equations are those of the
+    full system, the reported residual is the full system's.  A tree that
+    hangs from no kept cell takes the value its last removed cell had in
+    the start, as an isolated cell keeps its own.  The peel's state during
+    the solve is the removal rounds, of the smallest unsigned dtype that
+    holds them, and the uint8 link masks.  On a 32^3 lattice closed towards
+    percolation (the ``network-degrade`` benchmark, seed 7) the peel cuts
+    CG's mean iterations per solve from 92.2 to 58.9.
     ``PressureField.conductances`` stays the full ``conductance_arrays``.
     """
     if check_connectivity:
@@ -475,9 +396,9 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     p[:, :, -1][grid.outlet_mask] = p_out
 
     stencil = _stencil(g)
-    rounds = None if slab else _peel(g, fixed)
-    if rounds is not None:
-        _cut(stencil, rounds)
+    peeled = None if slab else _peel(g, fixed)
+    if peeled is not None:
+        _cut(stencil, peeled[0])
     den = _neighbor_sums(np.ones_like(p), stencil, np.empty_like(p))
     active = ~fixed & (den > 0)
 
@@ -494,8 +415,8 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     else:
         field = _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter,
                           hierarchy)
-    if rounds is not None:
-        _back_fill(field.pressure, rounds, g)
+    if peeled is not None:
+        _back_fill(field.pressure, *peeled)
     return field
 
 

@@ -72,7 +72,7 @@ class DepletionEstimate:
     negligible: bool
 
 
-def _bracketed_root(func, lo, hi, bisect_iters=_BISECT_ITERS, secant_iters=_SECANT_ITERS):
+def _bracketed_root(func, lo, hi):
     """Root of ``func`` inside [lo, hi], elementwise on arrays.
 
     Bisection narrows the bracket, then a few secant steps (clamped back into
@@ -82,7 +82,7 @@ def _bracketed_root(func, lo, hi, bisect_iters=_BISECT_ITERS, secant_iters=_SECA
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     f_lo = np.asarray(func(lo), dtype=float)
-    for _ in range(bisect_iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         f_mid = np.asarray(func(mid), dtype=float)
         low_side = (f_mid > 0) == (f_lo > 0)
@@ -93,7 +93,7 @@ def _bracketed_root(func, lo, hi, bisect_iters=_BISECT_ITERS, secant_iters=_SECA
     f0 = f_lo
     f1 = np.asarray(func(hi), dtype=float)
     x = 0.5 * (lo + hi)
-    for _ in range(secant_iters):
+    for _ in range(_SECANT_ITERS):
         denom = f1 - f0
         safe = np.where(denom == 0.0, 1.0, denom)
         x = np.where(denom == 0.0, 0.5 * (x0 + x1), x1 - f1 * (x1 - x0) / safe)
@@ -192,47 +192,47 @@ def _convective_general(chem: Chemistry, radius, c0: float, v0, c_slow):
     return np.clip(y, 0.0, 1.0), c1
 
 
-def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0):
-    """Wall concentration for many channels at once (array radius and v0).
+def _slow_layer(chem: Chemistry, r, c0: float, v):
+    """Per element of the equal-shape arrays ``r`` and ``v``: the annulus
+    thickness, the wall concentration and whether the regime is convective.
 
-    Chooses the regime per element: diffusion-limited below the stationary
-    speed, convective matching above it, in closed form for order 1.
+    Diffusion-limited at or below the stationary speed, convective matching
+    above it, in closed form for order 1.
     """
-    r = np.atleast_1d(np.asarray(radius, dtype=float))
-    v = np.atleast_1d(np.asarray(v0, dtype=float))
-    c_slow = np.atleast_1d(wall_concentration_slow(chem, r, c0))
+    c_slow = wall_concentration_slow(chem, r, c0)
     v_stat = chem.rate_constant * c_slow ** chem.reaction_order / c0
-    c1 = c_slow.copy()
+    y, c1 = np.ones_like(r), c_slow.copy()
     conv = v > v_stat
     if np.any(conv):
         if chem.reaction_order == 1:
-            _, c_conv = _convective_first_order(chem, r[conv], c0, v[conv])
+            y[conv], c1[conv] = _convective_first_order(chem, r[conv], c0, v[conv])
         else:
-            _, c_conv = _convective_general(chem, r[conv], c0, v[conv], c_slow[conv])
-        c1[conv] = c_conv
-    return c1
+            y[conv], c1[conv] = _convective_general(chem, r[conv], c0, v[conv], c_slow[conv])
+    return y, c1, conv
+
+
+def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0):
+    """Wall concentration for many channels at once (array radius and v0),
+    each in its own regime, as ``solve_slow_layer`` gives it for one."""
+    r = np.atleast_1d(np.asarray(radius, dtype=float))
+    v = np.atleast_1d(np.asarray(v0, dtype=float))
+    return _slow_layer(chem, r, c0, v)[1]
 
 
 def solve_slow_layer(chem: Chemistry, radius: float, c0: float, v0: float) -> SlowLayerSolution:
-    """Stationary annulus thickness and wall concentration for one channel."""
+    """Stationary annulus thickness and wall concentration for one channel:
+    the one-element case of ``wall_concentration_profile``, bit for bit."""
     if not radius > 0:
         raise ValueError(f"radius must be positive (m), got {radius!r}")
     if not c0 > 0:
         raise ValueError(f"c0 must be positive (m^-3), got {c0!r}")
     if v0 < 0:
         raise ValueError(f"v0 must be >= 0 (m/s), got {v0!r}")
-
-    c_slow = wall_concentration_slow(chem, radius, c0)
-    v_stat = chem.rate_constant * c_slow ** chem.reaction_order / c0
-    if v0 <= v_stat:
-        return SlowLayerSolution(1.0, 0.0, float(c_slow), DIFFUSION_LIMITED)
-
-    if chem.reaction_order == 1:
-        y, c1 = _convective_first_order(chem, radius, c0, v0)
-    else:
-        y, c1 = _convective_general(chem, radius, c0, v0, c_slow)
-    y = float(y)
-    return SlowLayerSolution(y, (1.0 - y) * radius, float(c1), CONVECTIVE)
+    y, c1, conv = _slow_layer(chem, np.array([radius], dtype=float), c0,
+                              np.array([v0], dtype=float))
+    y = float(y[0])
+    return SlowLayerSolution(y, (1.0 - y) * radius, float(c1[0]),
+                             CONVECTIVE if conv[0] else DIFFUSION_LIMITED)
 
 
 def growth_rate(chem: Chemistry, wall_concentration):

@@ -10,7 +10,8 @@ from clogsim.design import (catch_probability, equal_contamination_schedule,
                             quantile_penetration_forms, quantile_schedule,
                             radius_for_catch, uniform_schedule)
 from clogsim.engine import pass_probability
-from clogsim.model import FilterConfig
+from clogsim.hydraulics import reference_cell_flow
+from clogsim.model import FilterConfig, build_grid
 
 ROD = 2.5e-5
 Q_SCENARIO = 0.6939019764846559
@@ -191,8 +192,12 @@ class TestPenetrationProbability:
 
 class TestLifetimeEstimates:
     def test_frozen_scenario_numbers(self):
-        est = lifetime_estimates(scenario_config())
+        config = scenario_config()
+        est = lifetime_estimates(config)
         assert est.aperture_flow == pytest.approx(5.561011695935633e-13, rel=1e-12)
+        # the pressure network's conduit law over the clean filter's depth
+        want = reference_cell_flow(build_grid(config), 0.0, config.p_grad * config.L_z)
+        assert est.aperture_flow == pytest.approx(want, rel=1e-14)
         assert est.total_flow == pytest.approx(0.5 * est.aperture_flow * 400, rel=1e-12)
         assert est.particle_exposure == pytest.approx(35964678899376.12, rel=1e-12)
         assert est.lifetime == pytest.approx(est.particle_exposure / 1.389e7,

@@ -1302,20 +1302,27 @@ def slab_solves_digest() -> str:
 CLOSURE_SOLVES_SHA256 = "8cf1775f654b649a9eea621ce9c4e996106786104b3b3da8de1a7f8988c68c6c"
 
 
+def window_cells(grid) -> np.ndarray:
+    """The inlet and outlet window cells of ``grid``, as a lattice mask."""
+    fixed = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
+    fixed[:, :, 0] = grid.inlet_mask
+    fixed[:, :, -1] |= grid.outlet_mask
+    return fixed
+
+
 def network_kinds(grid) -> set[str]:
     """Which kinds of cells the solve of ``grid`` meets besides the window
     connected ones: "peeled" dead-end trees, "floating" clusters kept in
     the system with no path to a window, "walled-off" cells with no link."""
     g = conductance_arrays(grid)
-    shape = (grid.n_x, grid.n_y, grid.n_z)
-    fixed = np.zeros(shape, dtype=bool)
-    fixed[:, :, 0] = grid.inlet_mask
-    fixed[:, :, -1] |= grid.outlet_mask
-    linked = _neighbor_sums(np.ones(shape), _stencil(g), np.empty(shape)) > 0
-    rounds = hydraulics._peel(g, fixed)
-    kept = linked if rounds is None else linked & (rounds == 0)
+    fixed = window_cells(grid)
+    linked = _neighbor_sums(np.ones(fixed.shape), _stencil(g), np.empty(fixed.shape)) > 0
+    peeled = hydraulics._peel(g, fixed)
     kinds = set()
-    if rounds is not None:
+    kept = linked
+    if peeled is not None:
+        rounds, _ = peeled
+        kept = linked & (rounds == 0)
         kinds.add("peeled")
     if np.any(kept & ~window_connected(grid)):
         kinds.add("floating")
@@ -1381,6 +1388,40 @@ class TestDeadEndPeel:
                     assert p[c].tobytes() == p[m].tobytes(), (c, m)
                 attached += len(held)
             assert attached > 0
+
+    def test_removed_cell_keeps_one_bit_toward_a_later_cell(self):
+        # ``_peel``'s final link masks hold, for each removed cell, one bit
+        # at most: its link toward the one neighbour kept or removed in a
+        # later round, which ``_back_fill`` copies from; no linked
+        # neighbour goes in the same round (a pair's lower cell waits)
+        def check(grid) -> int:
+            """The number of removed cells that keep a bit."""
+            peeled = hydraulics._peel(conductance_arrays(grid), window_cells(grid))
+            if peeled is None:
+                return 0
+            flat_r, flat_l = (a.reshape(-1) for a in peeled)
+            n_y, n_z = grid.n_y, grid.n_z
+            steps = [n_y * n_z, -n_y * n_z, n_z, -n_z, 1, -1]
+            near = reference_peel(grid)[1]
+            held = 0
+            for c in np.flatnonzero(flat_r):
+                ends = [c + step for d, step in enumerate(steps) if flat_l[c] >> d & 1]
+                later = [m for m in near[c] if flat_r[m] == 0 or flat_r[m] > flat_r[c]]
+                assert len(ends) <= 1 and ends == later, (c, ends, later)
+                assert all(flat_r[m] != flat_r[c] for m in near[c]), c
+                held += len(ends)
+            return held
+
+        rng = np.random.default_rng(31)
+        assert all(check(dead_end_grid(rng, n)) > 0 for n in [4, 5, 6, 8, 10] for _ in range(2))
+        held = 0
+        for grid in closures(5, 12):
+            try:
+                check_connected(grid)
+            except DegenerateNetworkError:
+                break
+            held += check(grid)
+        assert held > 0
 
     @pytest.mark.parametrize("sweep", ["cg", "lexicographic"])
     def test_walled_off_cell_and_floating_trees_keep_initial(self, sweep):

@@ -238,19 +238,14 @@ class TestOracleGrid:
     def test_one_element_profile_is_the_scalar_solve(self, n, k_scale):
         # the engine's depletion warning takes the scalar solve for one
         # channel, the deposition kinetics the array one: bit for bit the
-        # same in the closed forms of orders 1 and 2; the bracketed root of
-        # higher orders powers numpy scalars, not arrays, and may differ in
-        # the last bit
+        # same in every order
         chem = _chem(k=RATE_CONSTANT * k_scale, n=n)
         c0, r = ENTRANCE_CONCENTRATION, 5e-5
         v_stat = stationary_velocity(chem, r, c0)
         for v0 in [0.0, *(v_stat * np.logspace(-3, 3, 601))]:
             got = solve_slow_layer(chem, r, c0, float(v0)).wall_concentration
             want = float(wall_concentration_profile(chem, r, c0, float(v0))[0])
-            if n < 3:
-                assert got == want, v0
-            else:
-                assert got == pytest.approx(want, rel=np.finfo(float).eps), v0
+            assert got == want, v0
 
 
 class TestGrowthRate:
