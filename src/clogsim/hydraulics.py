@@ -14,10 +14,12 @@ preconditioned by a multigrid V-cycle over in-layer aggregates
 (production), and a lexicographic Gauss-Seidel loop, the scalar reference
 for small grids.
 
-CG runs in float64: its operator, residual, dot products and max-norm
-stopping rule.  The V-cycle runs in float32 on a copy of the multigrid
-levels scaled by a power of two; the levels themselves, and the bottom
-level's inverse, are built in float64 and cast once per build.
+CG and its V-cycle run in float32, on the system scaled by a power of two;
+CG folds its correction into the float64 pressures, and recomputes their
+float64 residual, each time its own residual has fallen a hundredfold
+(reliable updates), and stops on that float64 residual.  The multigrid
+levels and the bottom level's inverse are built in float64 and cast once
+per build.
 
 Cells whose apertures are all closed have no equation; their pressure is
 left untouched and carries no flow.
@@ -339,33 +341,27 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     the layers.  ``hierarchy`` (a ``Hierarchy``, held by the caller across
     a sequence of solves on one lattice) lets the solve reuse coarse levels
     that an earlier solve built; without it, every solve builds its own.
-    Reuse changes the iterations CG needs, never the residual bound.  CG and
-    its stopping rule run in float64 and the preconditioner in float32,
-    scaled by a power of two so that the result does not depend on the
-    units of ``grid.mu``.  The float32 copy of the finest level and its
-    buffers add nine and a half lattice-sized float32 arrays to a solve,
-    and the mask of its active cells a bool one.
+    Reuse changes the iterations CG needs, never the residual bound.  CG
+    and the preconditioner run in float32, scaled by a power of two so that
+    the result does not depend on the units of ``grid.mu``; the reliable
+    updates and the stopping rule run in float64.  The float32 copy of the
+    finest level and its buffers add nine and a half lattice-sized float32
+    arrays to a solve, CG's search direction and correction two more, and
+    the mask of its active cells a bool one.
 
     Unless the lattice is at least two cells wide both ways with every side
     facet of positive conductance (then each layer is one slab, as in
     ``check_connected``'s shortcut), the solve first peels the dead-end
-    trees off the network (``_peel``): each round, over the whole lattice,
-    removes every linked non-window cell with at most one link bit left, a
-    link being a facet of positive conductance, and clears the bits that
-    point back at the removed cells.  The removed facets are zeroed on the
-    solve's own stencil, so the removed cells have no equation, and both
-    sweeps solve the kept cells alone.  Each removed cell keeps the one bit
-    of its attachment, the neighbour still in the system when it was
-    removed; after the solve, it copies that neighbour's pressure, round by
-    round in reverse (``_back_fill``).  Every dead-end facet then carries
-    exactly zero flow, and since the kept cells' equations are those of the
-    full system, the reported residual is the full system's.  A tree that
-    hangs from no kept cell takes the value its last removed cell had in
-    the start, as an isolated cell keeps its own.  The peel's state during
-    the solve is the removal rounds, of the smallest unsigned dtype that
-    holds them, and the uint8 link masks.  On a 32^3 lattice closed towards
-    percolation (the ``network-degrade`` benchmark, seed 7) the peel cuts
-    CG's mean iterations per solve from 92.2 to 58.9.
+    trees off the network (``_peel``) and zeroes their facets on its own
+    stencil, so both sweeps solve the kept cells alone; after the solve,
+    each removed cell copies the pressure of its attachment, the neighbour
+    still in the system when it was removed (``_back_fill``).  Every
+    dead-end facet then carries exactly zero flow, and the reported
+    residual is the full system's.  A tree that hangs from no kept cell
+    takes the value its last removed cell had in the start, as an isolated
+    cell keeps its own.  On a 32^3 lattice closed towards percolation (the
+    ``network-degrade`` benchmark, seed 7) the peel cuts CG's mean
+    iterations per solve from 92.2 to 58.9.
     ``PressureField.conductances`` stays the full ``conductance_arrays``.
     """
     if check_connectivity:
@@ -427,6 +423,9 @@ _SMOOTHING = 2.0 / 3.0
 _BOTTOM_SIZE = 9
 # solves a Hierarchy's coarse levels serve after the one that built them
 _REUSE_LIMIT = 20
+# CG's float32 residual is folded into the float64 solution and residual
+# each time its max norm has fallen by this factor
+_RELIABLE = 1e-2
 # a bottom block eigenvalue under this, relative to the block's diagonal,
 # counts as zero: rounding reaches about 1e-15, the contrasts between this
 # model's conductances put a real one above 1e-8
@@ -484,6 +483,23 @@ def _apply(v, stencil, diag, out):
     return out
 
 
+def _flux_apply(v, stencil, window, out):
+    """``_apply``'s operator in flux form: ``out = window * v`` plus, per
+    facet, its conductance times the drop of ``v`` across it, added to the
+    lower cell and taken from the upper one.  ``window`` is each cell's
+    conductance to the window cells.  Each row sums to it exactly whatever
+    the rounding of the conductances; a separately rounded diagonal does
+    not, which on a near-constant ``v`` swamps the net flow."""
+    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+    np.multiply(window.reshape(-1), flat_v, out=flat_out)
+    for s, up, t, _ in stencil:
+        np.subtract(flat_v[:-s], flat_v[s:], out=t)
+        t *= up
+        flat_out[:-s] += t
+        flat_out[s:] -= t
+    return out
+
+
 class _Operator(NamedTuple):
     """One level's operator in float64, as the hierarchy is built: the
     operator applies as ``_apply(v, stencil, diag, out)``."""
@@ -494,15 +510,21 @@ class _Operator(NamedTuple):
 class _Level:
     """One level of the V-cycle in float32: the float64 ``operator`` times
     ``scale`` (a power of two), its damped Jacobi weights and its own work
-    buffers."""
+    buffers.  Given ``window`` (the finest level's coupling to the window
+    cells), it applies its operator in flux form (``_flux_apply``) and
+    keeps the scaled coupling as ``diag`` once the Jacobi weights are
+    built."""
 
-    def __init__(self, operator, scale):
+    def __init__(self, operator, scale, window=None):
         # scaled before the cast, so that no conductance leaves float32's range
         self.stencil = _stencil([facets * scale for *_, facets in operator.stencil],
                                 np.float32)
         self.diag = (operator.diag * scale).astype(np.float32)
         with np.errstate(divide="ignore"):
             self.smooth = np.where(self.diag > 0, _SMOOTHING / self.diag, 0.0)
+        self.apply = _apply
+        if window is not None:
+            self.apply, self.diag = _flux_apply, (window * scale).astype(np.float32)
         self.half = np.empty(((self.diag.shape[0] + 1) // 2,) + self.diag.shape[1:],
                              np.float32)
         self.res, self.rhs, self.x = (np.empty_like(self.diag) for _ in range(3))
@@ -676,21 +698,22 @@ class _VCycle:
     of an aggregate of isolated or floating cells is therefore exactly zero,
     and so are its row and column of the bottom inverse.
 
-    The cycle runs in float32 inside CG's float64 iteration: smoothing,
-    restriction, prolongation and the bottom product (an ``sgemv``).  Its
-    operators are the hierarchy's float64 ones times the hierarchy's
-    ``scale`` (a power of two), and it casts ``scale * r`` on the way in.
-    The scaled cycle B' = B / scale then gives B' (scale r) = B r, so its
-    float32 result goes back to float64 as it is.  The finest level's
-    float32 copy (three stencil arrays and their scratch, the diagonal, the
-    Jacobi weights, three work buffers and a half-lattice one) is made for
-    each solve.  The cycle is symmetric up to float32 rounding only, which
-    CG tolerates.
+    The cycle runs in float32, as CG does: smoothing, restriction,
+    prolongation and the bottom product (an ``sgemv``).  Its operators are
+    the hierarchy's float64 ones times the hierarchy's ``scale`` (a power
+    of two).  It reads CG's scaled residual ``scale * r`` in place, as the
+    finest level's ``rhs``; the scaled cycle B' = B / scale then gives
+    B' (scale r) = B r, in the units of the pressure.  The finest level's
+    float32 copy (three stencil arrays and their scratch, the window
+    coupling in place of the diagonal, the Jacobi weights, three work
+    buffers and a half-lattice one) is made for each solve, and applies its
+    operator in flux form.  The cycle is symmetric up to float32 rounding
+    only, which CG tolerates.
 
     The coarse corrections spread values onto the cells without an
-    equation, which no active cell sees.  The result is multiplied by the
-    bool mask of the active cells (``den > 0``) on its way out, so it is
-    exactly zero there, and so is every CG search direction built from it.
+    equation, which no active cell sees.  The finest ``x`` is multiplied in
+    place by the bool mask of the active cells (``den > 0``) on its way
+    out, so it is exactly zero there, and so is every CG search direction.
 
     ``stencil`` and ``den`` give the finest operator in float64 and must
     already be zero off the active cells; ``window`` is each active cell's
@@ -703,18 +726,18 @@ class _VCycle:
         finest = _Operator(stencil, den)
         coarse, self.bottom_inverse, self.scale = (
             hierarchy if hierarchy is not None else Hierarchy()).levels_under(finest, window)
-        self.levels = [_Level(finest, self.scale), *coarse]
+        self.levels = [_Level(finest, self.scale, window), *coarse]
         self.active = den > 0
 
-    def __call__(self, r, out):
-        """Write the preconditioned float64 ``r`` into the float64 ``out``.
-        ``r`` must vanish off the active cells; ``out`` is zero there."""
+    def __call__(self):
+        """The preconditioned finest ``rhs``, written into the finest ``x``
+        and returned; ``rhs`` must vanish off the active cells, and ``x``
+        is zero there."""
         levels = self.levels
-        np.multiply(r, self.scale, out=levels[0].rhs)
         for fine, coarse in zip(levels, levels[1:]):
             # pre-smoothing from zero, then restrict the residual
             np.multiply(fine.smooth, fine.rhs, out=fine.x)
-            _apply(fine.x, fine.stencil, fine.diag, fine.res)
+            fine.apply(fine.x, fine.stencil, fine.diag, fine.res)
             np.subtract(fine.rhs, fine.res, out=fine.res)
             _pair_sums(_pair_sums(fine.res, 0, out=fine.half), 1, out=coarse.rhs)
         bottom = levels[-1]
@@ -722,12 +745,12 @@ class _VCycle:
         for fine, coarse in zip(levels[-2::-1], levels[:0:-1]):
             # coarse correction, then post-smoothing
             _spread_add(coarse.x, fine.x)
-            _apply(fine.x, fine.stencil, fine.diag, fine.res)
+            fine.apply(fine.x, fine.stencil, fine.diag, fine.res)
             np.subtract(fine.rhs, fine.res, out=fine.res)
             fine.res *= fine.smooth
             fine.x += fine.res
         # zero where the coarse corrections spread onto cells without an equation
-        return np.multiply(levels[0].x, self.active, out=out)
+        return np.multiply(levels[0].x, self.active, out=levels[0].x)
 
 
 def _restrict_to_active(stencil, den, active, fixed, work):
@@ -752,15 +775,19 @@ def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hie
 
     Starts from ``trial`` instead of ``p`` when ``trial`` is not None and
     its residual is strictly smaller; the two agree off the active cells.
-    Iterates on the start in place.  The search direction is zero off the
-    active cells, as the V-cycle's output is, so each step is a plain add
-    that leaves the others their values, which must be finite (a -0.0
-    there may come back as +0.0).  Overwrites ``stencil``,
-    ``den`` and ``work``.  The residual vector CG carries is exactly the
-    per-cell net flow, so the stopping rule is the same max-norm bound the
-    Gauss-Seidel reference uses.  Floating regions (no path to a window) have balanced
-    all-zero equations; a warm start from any converged field leaves them
-    untouched.
+    CG runs in float32 on the system times the V-cycle's ``scale``, with
+    the finest level's flux-form operator and its ``rhs`` as the residual.
+    Reliable updates keep float64 accuracy: once the float32 residual's max
+    norm falls under ``_RELIABLE`` times its value at the last update, or
+    under the scaled ``tol``, the float32 correction is added to the start
+    in place and the residual recomputed from it in float64, keeping the
+    search direction.  The solve returns when that residual, the per-cell
+    net flow the Gauss-Seidel reference bounds too, is within ``tol``.  The
+    correction is zero off the active cells, so those keep their values,
+    which must be finite (a -0.0 may come back as +0.0).  Overwrites
+    ``stencil``, ``den`` and ``work``.  Floating regions (no path to a
+    window) have balanced all-zero equations; a warm start from any
+    converged field leaves them untouched.
     """
     # the net flow from the window cells, shared by both starts: their
     # window cells hold the same pinned values
@@ -771,47 +798,54 @@ def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hie
         return float(max(v.max(), -v.min()))
 
     def residual_of(x, out):
-        """The residual vector of start ``x`` and its norm; the operator's
+        """The float64 residual vector of ``x`` and its norm; the operator's
         zero rows and columns off the active cells cancel ``x`` there."""
-        r = np.subtract(inflow, _apply(x, stencil, den, work), out=out)
+        r = np.subtract(inflow, _apply(x, stencil, den, out), out=out)
         return r, max_abs(r)
 
-    r, residual = residual_of(p, inflow if trial is None else None)
+    r, residual = residual_of(p, work)
     if trial is not None:
-        r_trial, trial_residual = residual_of(trial, inflow)
+        r_trial, trial_residual = residual_of(trial, np.empty_like(p))
         if trial_residual < residual:
             p, r, residual = trial, r_trial, trial_residual
         del r_trial
-    del inflow, trial
 
     if residual <= tol or not np.any(active):
         return PressureField(p, residual, 0, g)
     precondition = _VCycle(stencil, den, window, hierarchy)
     del window
-    # one buffer holds A d, then the preconditioned residual z: q is spent
-    # once r is updated
-    q = z = work
-    d = precondition(r, np.empty_like(p))
+    finest, scale = precondition.levels[0], precondition.scale
+    # the V-cycle reads the residual from its rhs; its res holds A d, spent
+    # once the residual is updated
+    r, q = np.multiply(r, scale, out=finest.rhs), finest.res
+    bound = residual * scale    # the residual norm at the last update
+    e = np.zeros_like(r)        # the correction since the last update
+    d = precondition().copy()
     rho = float(np.dot(r.ravel(), d.ravel()))
     for it in range(1, max_iter + 1):
-        _apply(d, stencil, den, q)
+        finest.apply(d, finest.stencil, finest.diag, q)
         dq = float(np.dot(d.ravel(), q.ravel()))
         if not dq > 0:
             raise ConvergenceError(
                 f"pressure conjugate gradient broke down at iteration {it}: curvature "
                 f"{dq:.3e} is not positive, residual {residual:.3e} > tol {tol:.3e}")
         alpha = rho / dq
-        d *= alpha       # d holds the step from here on
-        # the cells without an equation keep their values: d is zero there
-        p += d
         q *= alpha
         r -= q
-        residual = max_abs(r)
-        if residual <= tol:
-            return PressureField(p, residual, it, g)
-        precondition(r, z)
+        e += np.multiply(d, alpha, out=q)
+        norm = max_abs(r)
+        residual = norm / scale
+        if norm < _RELIABLE * bound or norm <= tol * scale:
+            p += e
+            e.fill(0.0)
+            exact, residual = residual_of(p, work)
+            if residual <= tol:
+                return PressureField(p, residual, it, g)
+            np.multiply(exact, scale, out=r)
+            bound = residual * scale
+        z = precondition()
         rho_new = float(np.dot(r.ravel(), z.ravel()))
-        d *= rho_new / (rho * alpha)
+        d *= rho_new / rho
         d += z
         rho = rho_new
     raise ConvergenceError(

@@ -193,22 +193,24 @@ def _convective_general(chem: Chemistry, radius, c0: float, v0, c_slow):
 
 
 def _slow_layer(chem: Chemistry, r, c0: float, v):
-    """Per element of the equal-shape arrays ``r`` and ``v``: the annulus
-    thickness, the wall concentration and whether the regime is convective.
+    """Per element of the equal-shape arrays ``r`` and ``v``: the wall
+    concentration and whether the regime is convective; then the annulus
+    thickness of the convective elements alone, in their order (None if
+    there is none), as every other element's is 1.
 
     Diffusion-limited at or below the stationary speed, convective matching
     above it, in closed form for order 1.
     """
     c_slow = wall_concentration_slow(chem, r, c0)
     v_stat = chem.rate_constant * c_slow ** chem.reaction_order / c0
-    y, c1 = np.ones_like(r), c_slow.copy()
+    c1, y = c_slow, None
     conv = v > v_stat
     if np.any(conv):
         if chem.reaction_order == 1:
-            y[conv], c1[conv] = _convective_first_order(chem, r[conv], c0, v[conv])
+            y, c1[conv] = _convective_first_order(chem, r[conv], c0, v[conv])
         else:
-            y[conv], c1[conv] = _convective_general(chem, r[conv], c0, v[conv], c_slow[conv])
-    return y, c1, conv
+            y, c1[conv] = _convective_general(chem, r[conv], c0, v[conv], c_slow[conv])
+    return c1, conv, y
 
 
 def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0):
@@ -216,7 +218,7 @@ def wall_concentration_profile(chem: Chemistry, radius, c0: float, v0):
     each in its own regime, as ``solve_slow_layer`` gives it for one."""
     r = np.atleast_1d(np.asarray(radius, dtype=float))
     v = np.atleast_1d(np.asarray(v0, dtype=float))
-    return _slow_layer(chem, r, c0, v)[1]
+    return _slow_layer(chem, r, c0, v)[0]
 
 
 def solve_slow_layer(chem: Chemistry, radius: float, c0: float, v0: float) -> SlowLayerSolution:
@@ -228,9 +230,9 @@ def solve_slow_layer(chem: Chemistry, radius: float, c0: float, v0: float) -> Sl
         raise ValueError(f"c0 must be positive (m^-3), got {c0!r}")
     if v0 < 0:
         raise ValueError(f"v0 must be >= 0 (m/s), got {v0!r}")
-    y, c1, conv = _slow_layer(chem, np.array([radius], dtype=float), c0,
+    c1, conv, y = _slow_layer(chem, np.array([radius], dtype=float), c0,
                               np.array([v0], dtype=float))
-    y = float(y[0])
+    y = float(y[0]) if conv[0] else 1.0
     return SlowLayerSolution(y, (1.0 - y) * radius, float(c1[0]),
                              CONVECTIVE if conv[0] else DIFFUSION_LIMITED)
 

@@ -478,8 +478,9 @@ class TestDepletionFlag:
 
 class TestPinnedTraces:
     """Trace text of two runs, captured when the order-1 wall concentration
-    became a closed-form root; a step's bookkeeping may change how it is
-    computed, never a byte of the trace."""
+    became a closed-form root and again when the pressure CG moved to
+    float32 with float64 reliable updates (float columns only); a step's
+    bookkeeping may change how it is computed, never a byte of the trace."""
 
     def test_scenario1_small_run(self, calcium):
         trace = run(scenario1_small(calcium))
