@@ -288,14 +288,19 @@ def write_run_artifacts(config: FilterConfig, trace: SimulationTrace,
     return paths
 
 
-def _parse_seed_spec(spec: str) -> list[int]:
+def _parse_seed_spec(spec: str) -> range:
+    """The seeds of ``--seed``: one integer, or an inclusive range ``lo..hi``,
+    as a range, so that no list of its seeds is built before the first run."""
     lo, sep, hi = spec.partition("..")
-    if sep:
-        start, stop = int(lo), int(hi)
-        if stop < start:
-            raise ValueError(f"seed range {spec!r} is empty")
-        return list(range(start, stop + 1))
-    return [int(spec)]
+    try:
+        start = int(lo)
+        stop = int(hi) if sep else start
+    except ValueError:
+        raise ValueError(f"--seed expects an integer or a range like 1..20, "
+                         f"got {spec!r}") from None
+    if stop < start:
+        raise ValueError(f"seed range {spec!r} is empty")
+    return range(start, stop + 1)
 
 
 def _cmd_simulate(args) -> int:

@@ -38,9 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import _FACET_FAMILIES, ApertureState, CellGrid, FilterConfig, build_grid
-from .hydraulics import (DegenerateNetworkError, FlowField, Hierarchy, _flows,
-                         flows_from_pressures, reference_cell_flow, solve_pressures,
-                         total_flow)
+from .hydraulics import (DegenerateNetworkError, FlowField, Hierarchy, _default_tol, _flows,
+                         flows_from_pressures, solve_pressures, total_flow)
 from .sediment import (axial_depletion, growth_rate, solve_slow_layer,
                        wall_concentration_profile)
 
@@ -280,7 +279,7 @@ def initialize(config: FilterConfig) -> SimulationState:
     grid = build_grid(config)
     p_out = config.p_grad * config.L_z
     tol = config.solver_tol if config.solver_tol is not None \
-        else 1e-6 * reference_cell_flow(grid, 0.0, p_out)
+        else _default_tol(grid, 0.0, p_out)
     ramp = np.linspace(0.0, p_out, config.n_z)
     pressures = np.broadcast_to(ramp, (config.n_x, config.n_y, config.n_z)).copy()
     state = SimulationState(

@@ -14,6 +14,10 @@ preconditioned by a multigrid V-cycle over in-layer aggregates
 (production), and a lexicographic Gauss-Seidel loop, the scalar reference
 for small grids.
 
+Every product with the system, on every multigrid level and in float32
+or float64, takes the network's own flux form (``_flux_apply``): each
+facet carries its conductance times the pressure drop across it.
+
 CG and its V-cycle run in float32, on the system scaled by a power of two;
 CG folds its correction into the float64 pressures, and recomputes their
 float64 residual, each time its own residual has fallen a hundredfold
@@ -231,12 +235,13 @@ def _peel(g, fixed):
     return (rounds.reshape(fixed.shape), links.reshape(fixed.shape)) if r else None
 
 
-def _cut(stencil, rounds) -> None:
-    """Zero, in place, every facet of ``stencil`` that touches a removed cell."""
-    stays = rounds.reshape(-1) == 0
+def _cut(stencil, keep) -> None:
+    """Zero, in place, every facet of ``stencil`` that touches a cell off
+    the bool lattice mask ``keep``."""
+    flat_keep = keep.reshape(-1)
     for s, up, _, _ in stencil:
-        up *= stays[:-s]
-        up *= stays[s:]
+        up *= flat_keep[:-s]
+        up *= flat_keep[s:]
 
 
 def _back_fill(p, rounds, links) -> None:
@@ -256,7 +261,7 @@ def _back_fill(p, rounds, links) -> None:
 
 
 def _stencil(g, dtype=np.float64):
-    """Flat conductances for ``_neighbor_sums``: per axis (x, y, z) its
+    """Flat conductances for ``_flux_apply``: per axis (x, y, z) its
     stride in the flat cell array, the conductance from each flat index to
     the one a stride up (zero off the lattice), a shared scratch view, and
     the facet conductances as a 3-D view of the same memory, all of
@@ -274,30 +279,44 @@ def _stencil(g, dtype=np.float64):
     return tuple(terms)
 
 
-def _neighbor_sums(p, stencil, out):
-    """Sum of conductance-weighted neighbor pressures into ``out``.
-
-    ``p`` and ``out`` are C-contiguous; on their flat views every operation
-    is contiguous and allocation free.  Each cell adds its terms in the
-    order x up, x down, y up, y down, z up, z down; the extra terms at
-    lattice edges are exact zeros.
-    """
-    flat_p, flat_out = p.reshape(-1), out.reshape(-1)
-    flat_out.fill(0.0)
+def _flux_apply(v, stencil, window, out):
+    """``out = window * v`` plus, per facet, its conductance times the drop
+    of ``v`` across it, added to the lower cell and taken from the upper
+    one, in the order x up, x down, y up, y down, z up, z down (zero terms
+    at lattice edges).  ``window``, each cell's conductance to the window
+    cells, may be the scalar 0.0: the product is then the net outflow.
+    Each row sums to ``window`` whatever the rounding of the conductances,
+    so a float32 product keeps the tiny net flows of a near-constant ``v``.
+    On the flat views of the C-contiguous ``v`` and ``out`` every operation
+    is contiguous and allocation free."""
+    np.multiply(window, v, out=out)
+    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
     for s, up, t, _ in stencil:
-        np.multiply(up, flat_p[s:], out=t)
+        np.subtract(flat_v[:-s], flat_v[s:], out=t)
+        t *= up
         flat_out[:-s] += t
-        np.multiply(up, flat_p[:-s], out=t)
-        flat_out[s:] += t
+        flat_out[s:] -= t
     return out
 
 
-def _residual(p, stencil, den, active, work):
-    """Max-norm net flow of field ``p`` over the active cells, m^3/s."""
-    if not np.any(active):
-        return 0.0
-    s = _neighbor_sums(p, stencil, work)
-    return float(np.max(np.abs(np.where(active, s - den * p, 0.0))))
+def _degree(stencil, out):
+    """Each cell's summed facet conductance, into ``out``; every facet adds
+    its own to both of its cells, in ``_flux_apply``'s order."""
+    flat_out = out.reshape(-1)
+    flat_out.fill(0.0)
+    for s, up, _, _ in stencil:
+        flat_out[:-s] += up
+        flat_out[s:] += up
+    return out
+
+
+def _max_abs(v) -> float:
+    return float(max(v.max(), -v.min()))
+
+
+def _default_tol(grid: CellGrid, p_in: float, p_out: float) -> float:
+    """A solve's default ``tol`` [m^3/s]: 1e-6 of ``reference_cell_flow``."""
+    return 1e-6 * reference_cell_flow(grid, p_in, p_out)
 
 
 def _start_field(values, name: str, shape) -> np.ndarray:
@@ -324,13 +343,13 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     start, such as a field extrapolated from earlier solves: it replaces
     ``initial`` on the active cells only when its max-norm net-flow residual
     is strictly smaller, and never on window or isolated cells.  Both
-    starts must be finite everywhere (ValueError otherwise).  CG ranks the
-    two starts by the residual vector it iterates on: the inflow from
-    the window cells, computed once since both starts pin the same window
-    values, minus the operator applied to each start; the chosen start's
-    vector is CG's first residual, so no solve recomputes it.  The
-    Gauss-Seidel reference ranks them by its own residual.  ``sweep``
-    selects "cg" (preconditioned conjugate gradient; the default and the
+    starts must be finite everywhere (ValueError otherwise).  The two
+    starts are ranked once, for both sweeps, by the residual vector that
+    both iterate on: the inflow from the window cells, computed once since
+    both starts pin the same window values, minus the operator applied to
+    each start.  A start already within ``tol`` is returned as it is; else
+    the chosen start's vector is CG's first residual.  ``sweep`` selects
+    "cg" (preconditioned conjugate gradient; the default and the
     FilterConfig default) or "lexicographic" (scalar Gauss-Seidel in index
     order, the reference for small grids).  Both converge to the same field
     and honour the same residual bound.  ``check_connectivity=False`` skips
@@ -359,15 +378,13 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     dead-end facet then carries exactly zero flow, and the reported
     residual is the full system's.  A tree that hangs from no kept cell
     takes the value its last removed cell had in the start, as an isolated
-    cell keeps its own.  On a 32^3 lattice closed towards percolation (the
-    ``network-degrade`` benchmark, seed 7) the peel cuts CG's mean
-    iterations per solve from 92.2 to 58.9.
-    ``PressureField.conductances`` stays the full ``conductance_arrays``.
+    cell keeps its own.  ``PressureField.conductances`` stays the full
+    ``conductance_arrays``.
     """
     if check_connectivity:
         check_connected(grid)
     if tol is None:
-        tol = 1e-6 * reference_cell_flow(grid, p_in, p_out)
+        tol = _default_tol(grid, p_in, p_out)
     if not tol > 0:
         raise ValueError(f"tol must be positive (m^3/s), got {tol!r}")
     if sweep not in ("cg", "lexicographic"):
@@ -394,23 +411,42 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     stencil = _stencil(g)
     peeled = None if slab else _peel(g, fixed)
     if peeled is not None:
-        _cut(stencil, peeled[0])
-    den = _neighbor_sums(np.ones_like(p), stencil, np.empty_like(p))
+        _cut(stencil, peeled[0] == 0)
+    den = _degree(stencil, np.empty_like(p))
     active = ~fixed & (den > 0)
-
     work = np.empty_like(p)
-    trial = None
+    # each active cell's flow in from the window cells, at their pinned
+    # pressures and at unit pressure: the net outflow of minus those values
+    inflow, window = (np.where(active, _flux_apply(np.where(fixed, -v, 0.0), stencil, 0.0,
+                                                   work), 0.0) for v in (p, 1.0))
+    # all-zero rows and columns off the active cells
+    _cut(stencil, active)
+    den *= active
+
+    def residual_of(x, out):
+        """The float64 residual vector of ``x`` and its norm; the operator's
+        zero rows and columns off the active cells cancel ``x`` there."""
+        r = np.subtract(inflow, _flux_apply(x, stencil, window, out), out=out)
+        return r, _max_abs(r)
+
+    r, residual = residual_of(p, work)
     if guess is not None:
         trial = np.where(active, _start_field(guess, "guess", p.shape), p)
-
-    if sweep == "lexicographic":
-        if trial is not None and _residual(trial, stencil, den, active, work) \
-                < _residual(p, stencil, den, active, work):
-            p = trial
-        field = _solve_lexicographic(p, g, stencil, den, active, tol, max_iter)
+        r_trial, trial_residual = residual_of(trial, np.empty_like(p))
+        if trial_residual < residual:
+            p, r, residual = trial, r_trial, trial_residual
+        del trial, r_trial
+    if residual <= tol:
+        field = PressureField(p, residual, 0, g)
+    elif sweep == "lexicographic":
+        field = _solve_lexicographic(p, residual, g, stencil, den, inflow, active,
+                                     residual_of, tol, max_iter)
     else:
-        field = _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter,
-                          hierarchy)
+        # for the peak memory: no den during CG, no V-cycle in the back-fill
+        precondition = _VCycle(stencil, den, window, hierarchy)
+        del den
+        field = _solve_cg(p, r, residual, g, precondition, residual_of, tol, max_iter)
+        del precondition
     if peeled is not None:
         _back_fill(field.pressure, *peeled)
     return field
@@ -471,63 +507,33 @@ def _spread_add(coarse, fine):
         np.add(view, value, out=view)
 
 
-def _apply(v, stencil, diag, out):
-    """``out = diag * v`` minus the conductance-weighted neighbour sums of ``v``."""
-    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
-    np.multiply(diag.reshape(-1), flat_v, out=flat_out)
-    for s, up, t, _ in stencil:
-        np.multiply(up, flat_v[s:], out=t)
-        flat_out[:-s] -= t
-        np.multiply(up, flat_v[:-s], out=t)
-        flat_out[s:] -= t
-    return out
-
-
-def _flux_apply(v, stencil, window, out):
-    """``_apply``'s operator in flux form: ``out = window * v`` plus, per
-    facet, its conductance times the drop of ``v`` across it, added to the
-    lower cell and taken from the upper one.  ``window`` is each cell's
-    conductance to the window cells.  Each row sums to it exactly whatever
-    the rounding of the conductances; a separately rounded diagonal does
-    not, which on a near-constant ``v`` swamps the net flow."""
-    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
-    np.multiply(window.reshape(-1), flat_v, out=flat_out)
-    for s, up, t, _ in stencil:
-        np.subtract(flat_v[:-s], flat_v[s:], out=t)
-        t *= up
-        flat_out[:-s] += t
-        flat_out[s:] -= t
-    return out
-
-
 class _Operator(NamedTuple):
-    """One level's operator in float64, as the hierarchy is built: the
-    operator applies as ``_apply(v, stencil, diag, out)``."""
+    """One level's operator in float64, as the hierarchy is built: it
+    applies as ``_flux_apply(v, stencil, window, out)``, and ``diag`` is
+    its diagonal, each cell's summed conductances plus its ``window``."""
     stencil: tuple
     diag: np.ndarray
+    window: np.ndarray
 
 
 class _Level:
-    """One level of the V-cycle in float32: the float64 ``operator`` times
-    ``scale`` (a power of two), its damped Jacobi weights and its own work
-    buffers.  Given ``window`` (the finest level's coupling to the window
-    cells), it applies its operator in flux form (``_flux_apply``) and
-    keeps the scaled coupling as ``diag`` once the Jacobi weights are
-    built."""
+    """One level of the V-cycle in float32: the float64 ``operator``'s
+    conductances and window coupling times ``scale`` (a power of two),
+    applied by ``_flux_apply``, the damped Jacobi weights of its diagonal
+    and its own work buffers."""
 
-    def __init__(self, operator, scale, window=None):
+    def __init__(self, operator, scale):
         # scaled before the cast, so that no conductance leaves float32's range
         self.stencil = _stencil([facets * scale for *_, facets in operator.stencil],
                                 np.float32)
-        self.diag = (operator.diag * scale).astype(np.float32)
+        diag = (operator.diag * scale).astype(np.float32)
         with np.errstate(divide="ignore"):
-            self.smooth = np.where(self.diag > 0, _SMOOTHING / self.diag, 0.0)
-        self.apply = _apply
-        if window is not None:
-            self.apply, self.diag = _flux_apply, (window * scale).astype(np.float32)
-        self.half = np.empty(((self.diag.shape[0] + 1) // 2,) + self.diag.shape[1:],
-                             np.float32)
-        self.res, self.rhs, self.x = (np.empty_like(self.diag) for _ in range(3))
+            self.smooth = np.where(diag > 0, _SMOOTHING / diag, 0.0)
+        del diag    # freed before the buffers, where a solve's memory peaks
+        self.window = (operator.window * scale).astype(np.float32)
+        shape = self.window.shape
+        self.half = np.empty(((shape[0] + 1) // 2,) + shape[1:], np.float32)
+        self.res, self.rhs, self.x = (np.empty_like(self.window) for _ in range(3))
 
 
 def _coarsen(g):
@@ -537,18 +543,17 @@ def _coarsen(g):
     return _pair_sums(gx[1::2], 1), _pair_sums(gy[:, 1::2], 0), _aggregate(gz)
 
 
-def _coarse_levels(finest, window):
+def _coarse_levels(finest):
     """The float64 operators of levels 1 and up under the ``_Operator``
     ``finest``, coarsened until a level has at most ``_BOTTOM_SIZE``
-    unknowns per layer; empty if ``finest`` already has.  ``window`` is each
-    active cell's conductance to the window cells."""
+    unknowns per layer; empty if ``finest`` already has."""
     levels, level = [], finest
     while level.diag.shape[0] * level.diag.shape[1] > _BOTTOM_SIZE:
         stencil = _stencil(_coarsen([facets for *_, facets in level.stencil]))
-        window = _aggregate(window)
-        diag = _neighbor_sums(np.ones(window.shape), stencil, np.empty(window.shape))
+        window = _aggregate(level.window)
+        diag = _degree(stencil, np.empty(window.shape))
         diag += window
-        level = _Operator(stencil, diag)
+        level = _Operator(stencil, diag, window)
         levels.append(level)
     return levels
 
@@ -654,7 +659,7 @@ class Hierarchy:
         self.bottom_inverse = None    # float32, of the scaled bottom operator
         self.reuses = 0               # solves served since the build
 
-    def levels_under(self, finest, window):
+    def levels_under(self, finest):
         """Float32 levels 1 and up under the ``_Operator`` ``finest``, the
         bottom level's scaled inverse and the scale: the kept ones if they
         may serve ``finest``, new ones otherwise."""
@@ -663,7 +668,7 @@ class Hierarchy:
                 and np.array_equal(active, self.active):
             self.reuses += 1
         else:
-            coarse = _coarse_levels(finest, window)
+            coarse = _coarse_levels(finest)
             # with no coarse level, finest is the bottom and nothing is kept
             inverse = _bottom_inverse((coarse or [finest])[-1])
             self.scale = 2.0 ** -math.frexp(float(finest.diag.max()))[1]
@@ -693,10 +698,11 @@ class _VCycle:
     operators are the Galerkin products of the plain aggregate sums.  They
     are built from sums of non-negative terms only: a conductance is the
     summed fine conductance between two aggregates, over facets whose two
-    cells are both active, and a diagonal is the sum of its row's
-    conductances plus the aggregate's coupling to the window cells.  A row
-    of an aggregate of isolated or floating cells is therefore exactly zero,
-    and so are its row and column of the bottom inverse.
+    cells are both active, and a window coupling is the summed coupling of
+    its cells, so every level keeps the flux form; a diagonal is the sum of
+    its row's conductances plus its window coupling.  A row of an aggregate
+    of isolated or floating cells is therefore exactly zero, and so are its
+    row and column of the bottom inverse.
 
     The cycle runs in float32, as CG does: smoothing, restriction,
     prolongation and the bottom product (an ``sgemv``).  Its operators are
@@ -705,10 +711,9 @@ class _VCycle:
     finest level's ``rhs``; the scaled cycle B' = B / scale then gives
     B' (scale r) = B r, in the units of the pressure.  The finest level's
     float32 copy (three stencil arrays and their scratch, the window
-    coupling in place of the diagonal, the Jacobi weights, three work
-    buffers and a half-lattice one) is made for each solve, and applies its
-    operator in flux form.  The cycle is symmetric up to float32 rounding
-    only, which CG tolerates.
+    coupling, the Jacobi weights, three work buffers and a half-lattice
+    one) is made for each solve.  The cycle is symmetric up to float32
+    rounding only, which CG tolerates.
 
     The coarse corrections spread values onto the cells without an
     equation, which no active cell sees.  The finest ``x`` is multiplied in
@@ -723,10 +728,10 @@ class _VCycle:
     """
 
     def __init__(self, stencil, den, window, hierarchy=None):
-        finest = _Operator(stencil, den)
+        finest = _Operator(stencil, den, window)
         coarse, self.bottom_inverse, self.scale = (
-            hierarchy if hierarchy is not None else Hierarchy()).levels_under(finest, window)
-        self.levels = [_Level(finest, self.scale, window), *coarse]
+            hierarchy if hierarchy is not None else Hierarchy()).levels_under(finest)
+        self.levels = [_Level(finest, self.scale), *coarse]
         self.active = den > 0
 
     def __call__(self):
@@ -737,7 +742,7 @@ class _VCycle:
         for fine, coarse in zip(levels, levels[1:]):
             # pre-smoothing from zero, then restrict the residual
             np.multiply(fine.smooth, fine.rhs, out=fine.x)
-            fine.apply(fine.x, fine.stencil, fine.diag, fine.res)
+            _flux_apply(fine.x, fine.stencil, fine.window, fine.res)
             np.subtract(fine.rhs, fine.res, out=fine.res)
             _pair_sums(_pair_sums(fine.res, 0, out=fine.half), 1, out=coarse.rhs)
         bottom = levels[-1]
@@ -745,7 +750,7 @@ class _VCycle:
         for fine, coarse in zip(levels[-2::-1], levels[:0:-1]):
             # coarse correction, then post-smoothing
             _spread_add(coarse.x, fine.x)
-            fine.apply(fine.x, fine.stencil, fine.diag, fine.res)
+            _flux_apply(fine.x, fine.stencil, fine.window, fine.res)
             np.subtract(fine.rhs, fine.res, out=fine.res)
             fine.res *= fine.smooth
             fine.x += fine.res
@@ -753,77 +758,34 @@ class _VCycle:
         return np.multiply(levels[0].x, self.active, out=levels[0].x)
 
 
-def _restrict_to_active(stencil, den, active, fixed, work):
-    """Give the operator all-zero rows and columns off the active cells, in
-    place: the stencil then couples active cells only, and ``den`` is zero
-    off them.  Returns each active cell's conductance to the window cells.
-    """
-    window = np.where(active, _neighbor_sums(fixed.astype(float), stencil, work), 0.0)
-    act = active.astype(float)
-    flat_act = act.reshape(-1)
-    for s, up, _, _ in stencil:
-        up *= flat_act[:-s]
-        up *= flat_act[s:]
-    den *= act
-    return window
+def _solve_cg(p, r, residual, g, precondition, residual_of, tol, max_iter):
+    """Conjugate gradient on the pressure system from ``p``, whose float64
+    residual vector is ``r`` and its norm ``residual``, preconditioned by
+    the multigrid V-cycle ``precondition`` (``_VCycle``).
 
-
-def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hierarchy):
-    """Conjugate gradient on the pressure system, preconditioned by a
-    multigrid V-cycle over in-layer aggregates (``_VCycle``), whose coarse
-    levels come from ``hierarchy`` if one is given.
-
-    Starts from ``trial`` instead of ``p`` when ``trial`` is not None and
-    its residual is strictly smaller; the two agree off the active cells.
     CG runs in float32 on the system times the V-cycle's ``scale``, with
-    the finest level's flux-form operator and its ``rhs`` as the residual.
-    Reliable updates keep float64 accuracy: once the float32 residual's max
-    norm falls under ``_RELIABLE`` times its value at the last update, or
-    under the scaled ``tol``, the float32 correction is added to the start
-    in place and the residual recomputed from it in float64, keeping the
-    search direction.  The solve returns when that residual, the per-cell
-    net flow the Gauss-Seidel reference bounds too, is within ``tol``.  The
-    correction is zero off the active cells, so those keep their values,
-    which must be finite (a -0.0 may come back as +0.0).  Overwrites
-    ``stencil``, ``den`` and ``work``.  Floating regions (no path to a
-    window) have balanced all-zero equations; a warm start from any
-    converged field leaves them untouched.
+    the finest level's operator and its ``rhs`` as the residual.  Reliable
+    updates keep float64 accuracy: once the float32 residual's max norm
+    falls under ``_RELIABLE`` times its value at the last update, or under
+    the scaled ``tol``, the float32 correction is added to ``p`` in place
+    and the residual recomputed from it in float64 (``residual_of``, into
+    ``r``), keeping the search direction.  The solve returns when that
+    residual, the per-cell net flow the Gauss-Seidel reference bounds too,
+    is within ``tol``.  The correction is zero off the active cells, so
+    those keep their values, which must be finite (a -0.0 may come back as
+    +0.0).  Floating regions (no path to a window) have balanced all-zero
+    equations; a warm start from any converged field leaves them untouched.
     """
-    # the net flow from the window cells, shared by both starts: their
-    # window cells hold the same pinned values
-    inflow = np.where(active, _neighbor_sums(np.where(fixed, p, 0.0), stencil, work), 0.0)
-    window = _restrict_to_active(stencil, den, active, fixed, work)
-
-    def max_abs(v):
-        return float(max(v.max(), -v.min()))
-
-    def residual_of(x, out):
-        """The float64 residual vector of ``x`` and its norm; the operator's
-        zero rows and columns off the active cells cancel ``x`` there."""
-        r = np.subtract(inflow, _apply(x, stencil, den, out), out=out)
-        return r, max_abs(r)
-
-    r, residual = residual_of(p, work)
-    if trial is not None:
-        r_trial, trial_residual = residual_of(trial, np.empty_like(p))
-        if trial_residual < residual:
-            p, r, residual = trial, r_trial, trial_residual
-        del r_trial
-
-    if residual <= tol or not np.any(active):
-        return PressureField(p, residual, 0, g)
-    precondition = _VCycle(stencil, den, window, hierarchy)
-    del window
     finest, scale = precondition.levels[0], precondition.scale
     # the V-cycle reads the residual from its rhs; its res holds A d, spent
-    # once the residual is updated
-    r, q = np.multiply(r, scale, out=finest.rhs), finest.res
+    # once the residual is updated; the float64 r takes the reliable updates
+    exact, r, q = r, np.multiply(r, scale, out=finest.rhs), finest.res
     bound = residual * scale    # the residual norm at the last update
     e = np.zeros_like(r)        # the correction since the last update
     d = precondition().copy()
     rho = float(np.dot(r.ravel(), d.ravel()))
     for it in range(1, max_iter + 1):
-        finest.apply(d, finest.stencil, finest.diag, q)
+        _flux_apply(d, finest.stencil, finest.window, q)
         dq = float(np.dot(d.ravel(), q.ravel()))
         if not dq > 0:
             raise ConvergenceError(
@@ -833,12 +795,12 @@ def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hie
         q *= alpha
         r -= q
         e += np.multiply(d, alpha, out=q)
-        norm = max_abs(r)
+        norm = _max_abs(r)
         residual = norm / scale
         if norm < _RELIABLE * bound or norm <= tol * scale:
             p += e
             e.fill(0.0)
-            exact, residual = residual_of(p, work)
+            exact, residual = residual_of(p, exact)
             if residual <= tol:
                 return PressureField(p, residual, it, g)
             np.multiply(exact, scale, out=r)
@@ -853,20 +815,23 @@ def _solve_cg(p, trial, g, stencil, den, active, fixed, work, tol, max_iter, hie
         f"after {max_iter} iterations")
 
 
-def _solve_lexicographic(p, g, stencil, den, active, tol, max_iter):
-    """Plain Gauss-Seidel in index order.  Reference path for small grids."""
-    flat_p, flat_den = p.reshape(-1), den.reshape(-1)
+def _solve_lexicographic(p, residual, g, stencil, den, inflow, active, residual_of, tol,
+                         max_iter):
+    """Gauss-Seidel in index order from ``p``, of residual ``residual``, on the
+    restricted system: each active cell takes its ``inflow`` plus its
+    conductance-weighted neighbour pressures, over ``den``; small grids."""
+    flat_p, flat_den, flat_in = p.reshape(-1), den.reshape(-1), inflow.reshape(-1)
     work = np.empty_like(p)
     for it in range(1, max_iter + 1):
         for c in np.flatnonzero(active):
-            acc = 0.0
+            acc = flat_in[c]
             for stride, up, _, _ in stencil:    # lower, then upper neighbour per axis
                 if c >= stride:
                     acc += up[c - stride] * flat_p[c - stride]
                 if c < up.size:
                     acc += up[c] * flat_p[c + stride]
             flat_p[c] = acc / flat_den[c]
-        residual = _residual(p, stencil, den, active, work)
+        _, residual = residual_of(p, work)
         if residual <= tol:
             return PressureField(p, residual, it, g)
     raise ConvergenceError(

@@ -173,15 +173,22 @@ class TestFormatConfig:
 
 class TestSeedSpec:
     def test_forms(self):
-        assert _parse_seed_spec("7") == [7]
-        assert _parse_seed_spec("1..3") == [1, 2, 3]
-        assert _parse_seed_spec("5..5") == [5]
+        assert list(_parse_seed_spec("7")) == [7]
+        assert list(_parse_seed_spec("1..3")) == [1, 2, 3]
+        assert list(_parse_seed_spec("5..5")) == [5]
+
+    def test_range_is_not_built_up_front(self):
+        # a list of these seeds would take about 8 TB
+        seeds = _parse_seed_spec("1..1000000000000")
+        assert isinstance(seeds, range)
+        assert len(seeds) == 10 ** 12 and seeds[0] == 1 and seeds[-1] == 10 ** 12
 
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError, match="empty"):
             _parse_seed_spec("9..3")
-        with pytest.raises(ValueError):
-            _parse_seed_spec("many")
+        for spec in ("many", "1.5", "1..x", "..3", ""):
+            with pytest.raises(ValueError, match="--seed"):
+                _parse_seed_spec(spec)
 
 
 class TestSimulateCommand:

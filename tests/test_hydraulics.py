@@ -11,9 +11,9 @@ import pytest
 
 from clogsim import hydraulics
 from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceError,
-                                DegenerateNetworkError, FlowField, Hierarchy, _apply,
-                                _bottom_inverse, _coarse_levels, _flows, _neighbor_sums,
-                                _Operator, _restrict_to_active, _spread_add, _stencil,
+                                DegenerateNetworkError, FlowField, Hierarchy,
+                                _bottom_inverse, _coarse_levels, _cut, _degree, _flows,
+                                _flux_apply, _Operator, _spread_add, _stencil,
                                 _VCycle, aperture_flow, check_connected,
                                 conductance_arrays, flows_from_pressures, outlet_flow,
                                 pressure_csv, reference_cell_flow, solve_pressures,
@@ -196,14 +196,16 @@ class TestConductances:
 
 class TestNeighborSums:
     @staticmethod
-    def facet_sweep(p, g):
-        """Reference: per-axis sweep over the 3-D facet arrays, x then y then z."""
-        out = np.zeros_like(p)
+    def facet_sweep(p, g, window):
+        """Reference: ``window * p``, then per-axis flux sweeps over the 3-D
+        facet arrays, x then y then z."""
+        out = window * p
         for axis, ga in enumerate(g):
             lo = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
             hi = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
-            out[lo] += ga * p[hi]
-            out[hi] += ga * p[lo]
+            flux = ga * (p[lo] - p[hi])
+            out[lo] += flux
+            out[hi] -= flux
         return out
 
     @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 5, 4), (6, 2, 3), (20, 20, 20)])
@@ -214,10 +216,16 @@ class TestNeighborSums:
             facets = tuple(n - 1 if a == axis else n for a, n in enumerate(shape))
             g.append(np.where(rng.random(facets) < 0.3, 0.0, rng.random(facets)))
         stencil = _stencil(tuple(g))
+        degree = np.zeros(shape)
+        for ga, (lo, hi) in zip(g, _SIDES):
+            degree[lo] += ga
+            degree[hi] += ga
+        assert _degree(stencil, np.empty(shape)).tobytes() == degree.tobytes()
         for _ in range(3):
             p = rng.standard_normal(shape)
-            got = _neighbor_sums(p, stencil, np.empty_like(p))
-            assert got.tobytes() == self.facet_sweep(p, g).tobytes()
+            window = rng.random(shape)
+            got = _flux_apply(p, stencil, window, np.empty_like(p))
+            assert got.tobytes() == self.facet_sweep(p, g, window).tobytes()
 
 
 class TestSolverAgainstDenseOracle:
@@ -378,9 +386,10 @@ class TestSolverErrors:
     @pytest.mark.parametrize("sweep", ["cg", "lexicographic"])
     def test_iteration_budget_enforced(self, sweep):
         grid = scenario_grid()
-        with pytest.raises(ConvergenceError):
-            solve_pressures(grid, 0.0, -10.0, max_iter=1, sweep=sweep,
-                            tol=1e-12 * SAMPLE_APERTURE_FLOW)
+        for max_iter in (0, 1):
+            with pytest.raises(ConvergenceError, match=f"after {max_iter} "):
+                solve_pressures(grid, 0.0, -10.0, max_iter=max_iter, sweep=sweep,
+                                tol=1e-12 * SAMPLE_APERTURE_FLOW)
 
     def test_degenerate_clean_cut(self):
         grid = build_grid(make_config())
@@ -562,6 +571,10 @@ class TestCsv:
 # and ``n8_1_*``) kept their bytes.  The CG entries were captured again when
 # CG moved to float32 with float64 reliable updates: every iteration count
 # stayed, and no pressure moved by more than 1.51e-10 of the 2 Pa drop.
+# All entries were captured again when every operator product took the flux
+# form and the Gauss-Seidel sweep moved to the system restricted to the
+# active cells: every iteration count stayed, and no pressure moved by more
+# than 2.07e-11 of the 2 Pa drop (3.3e-16 for the lexicographic entries).
 PINNED_SOLVES = DATA_DIR / "pinned_solves.npz"
 
 
@@ -610,19 +623,16 @@ def pinned_solves() -> dict[str, tuple[np.ndarray, int]]:
 
 
 def start_net_flow(grid, p_in: float, p_out: float, p):
-    """Net flow of every cell of ``p`` with the windows pinned, zero on the
-    cells without an equation; its max norm ranks the solver's starts (CG
-    sums the same net flow as its own residual vector)."""
-    stencil = _stencil(conductance_arrays(grid))
-    den = _neighbor_sums(np.ones(p.shape), stencil, np.empty(p.shape))
-    fixed = np.zeros(p.shape, dtype=bool)
-    fixed[:, :, 0] = grid.inlet_mask
-    fixed[:, :, -1] = grid.outlet_mask
+    """Net flow into every cell of ``p`` with the windows pinned, zero on the
+    cells without an equation; its max norm ranks the solver's starts (both
+    sweeps sum the same net flow as their residual vector)."""
+    g = conductance_arrays(grid)
+    den = _degree(_stencil(g), np.empty(p.shape))
     pinned = p.copy()
     pinned[:, :, 0][grid.inlet_mask] = p_in
     pinned[:, :, -1][grid.outlet_mask] = p_out
-    net = _neighbor_sums(pinned, stencil, np.empty(p.shape)) - den * pinned
-    active = ~fixed & (den > 0)
+    net = -cell_net_outflow(_flows(g, pinned), *p.shape)
+    active = ~window_cells(grid) & (den > 0)
     return np.where(active, net, 0.0), den, active
 
 
@@ -800,15 +810,14 @@ def restricted_system(grid):
     """``grid``'s finest operator restricted to the active cells, the way
     the solver builds it: stencil, diagonal, window conductances and the
     active mask."""
-    g = conductance_arrays(grid)
-    stencil = _stencil(g)
-    shape = (grid.n_x, grid.n_y, grid.n_z)
-    den = _neighbor_sums(np.ones(shape), stencil, np.empty(shape))
-    fixed = np.zeros(shape, dtype=bool)
-    fixed[:, :, 0] = grid.inlet_mask
-    fixed[:, :, -1] |= grid.outlet_mask
+    stencil = _stencil(conductance_arrays(grid))
+    fixed = window_cells(grid)
+    den = _degree(stencil, np.empty(fixed.shape))
     active = ~fixed & (den > 0)
-    window = _restrict_to_active(stencil, den, active, fixed, np.empty(shape))
+    window = np.where(active, _flux_apply(np.where(fixed, -1.0, 0.0), stencil, 0.0,
+                                          np.empty(fixed.shape)), 0.0)
+    _cut(stencil, active)
+    den *= active
     return stencil, den, window, active
 
 
@@ -831,8 +840,8 @@ def float64_build(grid):
     """The float64 build of ``grid``'s hierarchy, before its cast to
     float32: the operators of levels 0 and up and the bottom inverse."""
     stencil, den, window, _ = restricted_system(grid)
-    finest = _Operator(stencil, den)
-    levels = [finest, *_coarse_levels(finest, window)]
+    finest = _Operator(stencil, den, window)
+    levels = [finest, *_coarse_levels(finest)]
     return levels, _bottom_inverse(levels[-1])
 
 
@@ -855,7 +864,7 @@ def level_matrix(level) -> np.ndarray:
     unit, column = np.zeros(level.diag.shape), np.empty(level.diag.shape)
     for c in range(size):
         unit.flat[c] = 1.0
-        out[:, c] = _apply(unit, level.stencil, level.diag, column).ravel()
+        out[:, c] = _flux_apply(unit, level.stencil, level.window, column).ravel()
         unit.flat[c] = 0.0
     return out
 
@@ -869,6 +878,32 @@ def shrink_radii(grid, rng, low, high) -> None:
 
 
 SHAPES = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (7, 5, 6), (8, 8, 8)]
+
+# captured while the operator products had a diagonal form beside the flux
+# form; the move to the flux form alone left these bytes as they were
+HIERARCHY_BUILDS_SHA256 = "5dd34157755aef7aa4615cd6f1ca8e521cdfbe42afb59078f3b4b6157be92c05"
+
+
+def hierarchy_builds_digest(monkeypatch) -> str:
+    """SHA-256 of what every V-cycle of the ``closure_solves_digest``
+    sweeps is built from and builds: the finest level's diagonal and
+    window coupling, every level's Jacobi weights, the scale and the
+    bottom inverse."""
+    digest = hashlib.sha256()
+
+    class Recording(_VCycle):
+        def __init__(self, stencil, den, window, hierarchy=None):
+            super().__init__(stencil, den, window, hierarchy)
+            for a in (den, window, *(level.smooth for level in self.levels),
+                      self.bottom_inverse):
+                digest.update(a.tobytes())
+            digest.update(repr(self.scale).encode())
+
+    monkeypatch.setattr(hydraulics, "_VCycle", Recording)
+    for seed, n in [(11, 12), (12, 16)]:
+        for _ in closure_solves(seed, n):
+            pass
+    return digest.hexdigest()
 
 
 class TestMultigrid:
@@ -942,6 +977,9 @@ class TestMultigrid:
             spread[np.arange(fine.diag.size), agg] = 1.0
             want = spread.T @ level_matrix(fine) @ spread
             np.testing.assert_allclose(level_matrix(coarse), want, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(want)))
+            # and the diagonal that the Jacobi weights and the bottom inverse use
+            np.testing.assert_allclose(coarse.diag.ravel(), np.diag(want), rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("shape", SHAPES + [(20, 20, 20), (9, 3, 5)])
@@ -1056,6 +1094,9 @@ class TestMultigrid:
             assert got.pressure.tobytes() == want.pressure.tobytes(), k
             assert got.iterations == want.iterations, k
 
+    def test_hierarchy_builds_are_pinned(self, monkeypatch):
+        assert hierarchy_builds_digest(monkeypatch) == HIERARCHY_BUILDS_SHA256
+
     def test_non_positive_curvature_reports_where_it_stopped(self, monkeypatch):
         class Zero(_VCycle):
             def __call__(self):
@@ -1085,7 +1126,9 @@ class TestHierarchyReuse:
         fresh = preconditioner(grid)[0]
 
         def unscaled(cycle, k):
-            return (cycle.levels[k].diag / cycle.scale).tobytes()
+            level = cycle.levels[k]
+            return (level.window / cycle.scale).tobytes() \
+                + (level.smooth * cycle.scale).tobytes()
 
         assert unscaled(precondition, 0) == unscaled(fresh, 0)
         assert unscaled(precondition, 1) != unscaled(fresh, 1)
@@ -1226,8 +1269,10 @@ def dead_end_grid(rng, n):
     raise AssertionError("could not draw a pattern with a dead end")
 
 
-CLOSURE_SWEEP_ITERATIONS = [18, 16, 18, 20, 20, 20, 21, 23, 23, 26, 25, 28, 28, 30, 31, 35,
-                            38, 42, 45, 59, 71, 66, 65, 88, 74, 66, 49]
+# captured again when every operator product took the flux form: the first
+# and the second-to-last solve took one iteration fewer
+CLOSURE_SWEEP_ITERATIONS = [17, 16, 18, 20, 20, 20, 21, 23, 23, 26, 25, 28, 28, 30, 31, 35,
+                            38, 42, 45, 59, 71, 66, 65, 88, 74, 65, 49]
 
 
 def close_in_rounds(grid, seed: int):
@@ -1273,9 +1318,10 @@ def closure_sweep(seed: int, n: int = 16) -> list[int]:
     return [field.iterations for _, field in closure_solves(seed, n)]
 
 
-# captured when CG moved to float32 with float64 reliable updates; until
-# then, from the solver as it was before the dead-end peel existed
-SLAB_SOLVES_SHA256 = "d9e77cbe934399102f6efcc5c02a9189eb53c6a9699983ac3278d89bef808ced"
+# captured when every operator product took the flux form; before, when CG
+# moved to float32 with float64 reliable updates, and until then, from the
+# solver as it was before the dead-end peel existed
+SLAB_SOLVES_SHA256 = "ac855ac490351ed6655e162fdbed7a2e8f25aa76c649b2beb83af97d99027002"
 
 
 def slab_solves_digest() -> str:
@@ -1305,10 +1351,10 @@ def slab_solves_digest() -> str:
     return digest.hexdigest()
 
 
-# captured when CG moved to float32 with float64 reliable updates; until
-# then, from the solver as it was while CG's step was masked to the active
-# cells
-CLOSURE_SOLVES_SHA256 = "af7729092f272ece72c7b036a9fbc1e538919a75fade41bf5d6acd99d7bbb954"
+# captured when every operator product took the flux form; before, when CG
+# moved to float32 with float64 reliable updates, and until then, from the
+# solver as it was while CG's step was masked to the active cells
+CLOSURE_SOLVES_SHA256 = "c6d17a67ff7161de6ea87fae1e989c0a95ff8c31d93fa231621bdbd5f00deb8c"
 
 
 def window_cells(grid) -> np.ndarray:
@@ -1325,7 +1371,7 @@ def network_kinds(grid) -> set[str]:
     the system with no path to a window, "walled-off" cells with no link."""
     g = conductance_arrays(grid)
     fixed = window_cells(grid)
-    linked = _neighbor_sums(np.ones(fixed.shape), _stencil(g), np.empty(fixed.shape)) > 0
+    linked = _degree(_stencil(g), np.empty(fixed.shape)) > 0
     peeled = hydraulics._peel(g, fixed)
     kinds = set()
     kept = linked
@@ -1465,7 +1511,7 @@ class TestDeadEndPeel:
 
     def test_closure_sweep_iterations(self):
         # the full system took 1,781 iterations on this sweep, 135 on its
-        # last solve, before the dead ends were peeled off: now 1,045 and 49
+        # last solve, before the dead ends were peeled off: now 1,043 and 49
         assert closure_sweep(5) == CLOSURE_SWEEP_ITERATIONS
 
 
@@ -1505,6 +1551,19 @@ class TestUnmaskedStep:
         assert peak <= NETWORK_SOLVE_PEAK_BYTES + 100_000
 
 
+def diagonal_apply(v, stencil, diag, out):
+    """The operator in diagonal form: ``diag * v`` minus the
+    conductance-weighted neighbour sums of ``v``."""
+    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+    np.multiply(diag.reshape(-1), flat_v, out=flat_out)
+    for s, up, t, _ in stencil:
+        np.multiply(up, flat_v[s:], out=t)
+        flat_out[:-s] -= t
+        np.multiply(up, flat_v[:-s], out=t)
+        flat_out[s:] -= t
+    return out
+
+
 class TestFloat32CG:
     def test_flux_form_product_keeps_float32_accuracy(self):
         # on a near-constant vector the net flows are tiny against each
@@ -1518,7 +1577,7 @@ class TestFloat32CG:
         x, y, z = np.indices(active.shape) / 20.0
         v = np.where(active, -1.0 + 1e-4 * np.sin(3 * x + 2 * y) * np.cos(4 * z), 0.0)
         v32 = v.astype(np.float32)
-        want = scale * _apply(v32.astype(float), stencil, den, np.empty(v.shape))
+        want = scale * diagonal_apply(v32.astype(float), stencil, den, np.empty(v.shape))
         # per cell: |w v| plus each facet's |g dv|, in the scaled units
         size = scale * window * np.abs(v32)
         flat_v, flat_size = v32.reshape(-1).astype(float), size.reshape(-1)
@@ -1532,14 +1591,15 @@ class TestFloat32CG:
         def within(got):
             return np.all(np.abs(got - want) <= 8 * 2.0 ** -24 * size + rounding)
 
-        assert within(finest.apply(v32, finest.stencil, finest.diag,
-                                   np.empty(v.shape, np.float32)))
+        assert within(_flux_apply(v32, finest.stencil, finest.window,
+                                  np.empty(v.shape, np.float32)))
         diag = (den * scale).astype(np.float32)
-        assert not within(_apply(v32, finest.stencil, diag, np.empty(v.shape, np.float32)))
+        assert not within(diagonal_apply(v32, finest.stencil, diag,
+                                         np.empty(v.shape, np.float32)))
 
     def test_residual_is_the_net_flow_of_the_returned_field(self):
         # reliable updates: every solve returns the float64 net flow of the
-        # pressures it returns, within tol
+        # pressures it returns, within tol; so does the Gauss-Seidel sweep
         def check(grid, p_in, p_out, field, tol):
             net, den, _ = start_net_flow(grid, p_in, p_out, field.pressure)
             rounding = 16 * np.finfo(float).eps * np.max(den * np.abs(field.pressure))
@@ -1561,5 +1621,10 @@ class TestFloat32CG:
             check(grid, 0.0, -10.0, field, tol)
             pressure = field.pressure
             shrink_radii(grid, rng, 0.95, 1.0)
+            solves += 1
+        for grid in (guess_grid(n=5), dead_end_grid(rng, 5)):
+            field = solve_pressures(grid, 0.0, -2.0, sweep="lexicographic")
+            assert field.iterations > 0
+            check(grid, 0.0, -2.0, field, 1e-6 * reference_cell_flow(grid, 0.0, -2.0))
             solves += 1
         assert solves > 40

