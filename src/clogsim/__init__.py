@@ -18,8 +18,8 @@ from .hydraulics import (ConvergenceError, DegenerateNetworkError, FlowField,
                          PressureField, aperture_flow, check_connected,
                          flows_from_pressures, outlet_flow, pressure_csv,
                          solve_pressures, total_flow)
-from .model import (AVOGADRO, Aperture, ApertureState, CellGrid, Chemistry,
-                    FilterConfig, build_grid)
+from .model import (AVOGADRO, ApertureState, CellGrid, Chemistry, FilterConfig,
+                    build_grid)
 from .sediment import (CalibrationInfeasibleError, CalibrationResult,
                        DepletionEstimate, SlowLayerSolution, axial_depletion,
                        calibrate_rate_constant, growth_rate, solve_slow_layer,
@@ -30,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AVOGADRO",
-    "Aperture",
     "ApertureState",
     "CalibrationInfeasibleError",
     "CalibrationResult",

@@ -311,13 +311,16 @@ def _cmd_simulate(args) -> int:
             config = replace(config, **{key: _SCHEMA_BY_KEY[key].parse(key, text)})
     if args.no_chemistry:
         config = replace(config, chemistry=None)
-    seeds = _parse_seed_spec(args.seed) if args.seed is not None else [config.seed]
+    seeds = (_parse_seed_spec(args.seed) if args.seed is not None
+             else range(config.seed, config.seed + 1))
+    # slicing, not len(): a range longer than sys.maxsize has no len()
+    many = bool(seeds[1:])
     out_base = Path(args.out)
     degenerate = False
     for seed in seeds:
         run_config = replace(config, seed=seed)
         trace = run(run_config)
-        out_dir = out_base if len(seeds) == 1 else out_base / f"seed_{seed}"
+        out_dir = out_base / f"seed_{seed}" if many else out_base
         write_run_artifacts(run_config, trace, out_dir)
         counts = trace.final_counts()
         print(f"seed {seed}: {trace.stop_reason} at t = {trace.duration:.6g} s, "

@@ -1,4 +1,4 @@
-"""Aperture sizing schedules and closed-form lifetime estimates.
+"""Schedules that size the filtering apertures, and closed-form lifetime estimates.
 
 A schedule assigns each membrane a target catch probability, then sizes
 the aperture radius that realizes it for a given rod length.  The
@@ -27,7 +27,7 @@ def catch_probability(radius, rod_length: float):
 
 
 def radius_for_catch(catch, rod_length: float):
-    """Aperture radius giving the target catch probability.
+    """Radius of the aperture that gives the target catch probability.
 
     Inverts catch = sqrt(1 - (2r/l)^2): r = (l/2) sqrt(1 - catch^2).
     catch = 1 closes the aperture (radius 0); catch = 0 gives the widest

@@ -231,7 +231,8 @@ class SimulationState:
 
 
 def _index_open_facets(state: SimulationState) -> None:
-    """Rebuild the open-facet tables and the membrane counts from the grid;
+    """Rebuild the open-facet tables and the membrane counts from the grid,
+    then the open weights and layer concentrations from the new tables;
     a family whose open facets are unchanged keeps its table."""
     grid = state.grid
     tables = []
@@ -251,8 +252,7 @@ def _index_open_facets(state: SimulationState) -> None:
         tables.append(table)
     state.open_facets = tuple(tables)
     state.membrane_counts = grid.membrane_state_counts()
-    z = tables[0]
-    state.open_weights = np.bincount(z.membrane, z.weights, minlength=grid.n_membranes)
+    _refresh_concentration(state)
 
 
 def _filter_pass(config: FilterConfig, radius) -> np.ndarray:
@@ -291,7 +291,6 @@ def initialize(config: FilterConfig) -> SimulationState:
         solver_tol=tol,
     )
     _index_open_facets(state)
-    _refresh_concentration(state)
     return state
 
 
@@ -357,7 +356,7 @@ def _depletion_warning(state: SimulationState, kinetics) -> bool:
     return not est.negligible
 
 
-def _capture(state: SimulationState, f_sub, catch_flow, dt: float, rng) -> bool:
+def _capture(state: SimulationState, f_sub, catch_flow, dt: float) -> bool:
     """Capture draws, all membranes at once, against the pre-step
     concentrations; True when a facet lost its last sub-aperture.  Draws run
     only where p > 0 (every open facet has w > 0): numpy draws nothing for
@@ -374,7 +373,7 @@ def _capture(state: SimulationState, f_sub, catch_flow, dt: float, rng) -> bool:
                 z.membrane, z.weights * p, minlength=grid.n_membranes) / denom))
         p = np.clip(p * scale.take(z.membrane), 0.0, 1.0)
     drawn = np.flatnonzero(p > 0)
-    hits = rng.binomial(z.weights.take(drawn), p.take(drawn))
+    hits = state.rng.binomial(z.weights.take(drawn), p.take(drawn))
     nonzero = hits > 0
     if not nonzero.any():
         return False
@@ -413,18 +412,16 @@ def _deposit(state: SimulationState, kinetics, dt: float, blocked: bool) -> None
                 table.weights[sealing] = 0
 
 
-def step(state: SimulationState, dt: float | None = None,
-         rng: np.random.Generator | None = None) -> SimulationState:
+def step(state: SimulationState) -> SimulationState:
     """Advance the simulation one step (in place); records one trace row.
 
-    With ``dt`` None the configured step is used: a fixed value, or the
-    largest step that keeps expected captures per membrane and relative
-    radius shrink under their per-step budgets.
+    The step length is the configured ``dt``: a fixed value, or the largest
+    step that keeps expected captures per membrane and relative radius
+    shrink under their per-step budgets.  Captures draw from ``state.rng``.
     """
     cfg = state.config
     grid = state.grid
     chem = cfg.chemistry
-    rng = rng if rng is not None else state.rng
 
     dirty = state.topology_dirty
     if dirty:
@@ -461,20 +458,19 @@ def step(state: SimulationState, dt: float | None = None,
         catch_flow = np.bincount(z.membrane, z.weights * (1.0 - z.pass_prob) * f_sub,
                                  minlength=grid.n_membranes)
 
-    if dt is None:
-        if isinstance(cfg.dt, (int, float)):
-            dt = float(cfg.dt)
-        else:
-            dt = _adaptive_dt(state, catch_flow, kinetics)
-            if not np.isfinite(dt):
-                if state.last_dt is not None:
-                    dt = state.last_dt
-                elif cfg.time_limit is not None:
-                    dt = cfg.time_limit / 100.0
-                else:
-                    raise ValueError(
-                        "adaptive step is unbounded (no capture or deposition in "
-                        "progress); set dt or time_limit")
+    if isinstance(cfg.dt, (int, float)):
+        dt = float(cfg.dt)
+    else:
+        dt = _adaptive_dt(state, catch_flow, kinetics)
+        if not np.isfinite(dt):
+            if state.last_dt is not None:
+                dt = state.last_dt
+            elif cfg.time_limit is not None:
+                dt = cfg.time_limit / 100.0
+            else:
+                raise ValueError(
+                    "adaptive step is unbounded (no capture or deposition in "
+                    "progress); set dt or time_limit")
     if cfg.time_limit is not None:
         dt = min(dt, cfg.time_limit - state.time)
     if not dt > 0:
@@ -482,7 +478,7 @@ def step(state: SimulationState, dt: float | None = None,
 
     _record(state, dt, total, _depletion_warning(state, kinetics), state.membrane_counts)
 
-    blocked = catch_flow is not None and _capture(state, f_sub, catch_flow, dt, rng)
+    blocked = catch_flow is not None and _capture(state, f_sub, catch_flow, dt)
     _deposit(state, kinetics, dt, blocked)
     # only the radii of the facets open at the start of the step moved
     z.pass_prob = _filter_pass(cfg, grid.z_radius[z.mask])

@@ -15,9 +15,8 @@ current radius never exceeds the initial one and never goes negative.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
 
@@ -35,27 +34,26 @@ class ApertureState(IntEnum):
     SEDIMENT_SEALED = 2
 
 
-# per-facet arrays of a family, in JSON order, with their dtypes
-_FACET_FIELDS = {"radius0": float, "radius": float, "state": np.int8, "open_count": np.int64}
+# per-facet arrays of a family, in the order of _FacetFamily.arrays
+_FACET_FIELDS = ("radius0", "radius", "state", "open_count")
 
 
 @dataclass(frozen=True)
 class _FacetFamily:
     """One family of parallel facets; CellGrid holds its arrays as ``<name>_<field>``."""
 
-    name: str         # "z", "x" or "y": attribute prefix and JSON key
+    name: str         # "z", "x" or "y": attribute prefix
     axis: int         # lattice axis along which a facet joins its two cells
     filtering: bool   # filtering facets alone carry open_count (sub-apertures not yet hit)
 
     @property
-    def fields(self) -> dict[str, str]:
-        """JSON key -> CellGrid attribute, in JSON order."""
-        keys = list(_FACET_FIELDS)[:4 if self.filtering else 3]
-        return {key: f"{self.name}_{key}" for key in keys}
+    def fields(self) -> tuple[str, ...]:
+        """CellGrid attributes of the family; open_count only if filtering."""
+        return tuple(f"{self.name}_{key}" for key in _FACET_FIELDS[:4 if self.filtering else 3])
 
     def arrays(self, grid: "CellGrid") -> tuple:
         """(radius0, radius, state, open_count) of ``grid``; open_count None if not filtering."""
-        found = tuple(getattr(grid, attr) for attr in self.fields.values())
+        found = tuple(getattr(grid, attr) for attr in self.fields)
         return found if self.filtering else (*found, None)
 
     def open_mask(self, grid: "CellGrid") -> np.ndarray:
@@ -65,11 +63,9 @@ class _FacetFamily:
         return mask & (open_count > 0) if self.filtering else mask
 
 
-# filtering facets first: the order of the JSON payload and of the engine's loops
+# filtering facets first: the order of the engine's loops
 _FACET_FAMILIES = (_FacetFamily("z", 2, True), _FacetFamily("x", 0, False),
                    _FacetFamily("y", 1, False))
-_ARRAY_FIELDS = ("inlet_mask", "outlet_mask", "membrane_multiplicity",
-                 *(attr for fam in _FACET_FAMILIES for attr in fam.fields.values()))
 
 
 @dataclass(frozen=True)
@@ -240,35 +236,13 @@ class FilterConfig:
                 f"aperture_multiplicity must be one integer >= 1 or n_z - 1 of them")
 
 
-@dataclass(frozen=True)
-class Aperture:
-    """Read-only snapshot of one facet aperture."""
-
-    axis: str                 # "x", "y" or "z"
-    index: tuple[int, int, int]
-    filtering: bool           # True for z-facet apertures
-    radius_initial: float     # m
-    radius: float             # m, current (initial minus deposit thickness)
-    state: ApertureState
-    multiplicity: int
-    open_count: int           # sub-apertures not yet hit by a particle
-
-    @property
-    def sediment_thickness(self) -> float:
-        return self.radius_initial - self.radius
-
-    @property
-    def is_open(self) -> bool:
-        return self.state == ApertureState.OPEN
-
-
 @dataclass(eq=False)
 class CellGrid:
     """Mutable state of the filter lattice.
 
-    Aperture data are dense arrays indexed by the facet position: the z-facet
-    between cells (i, j, k) and (i, j, k+1) is entry [i, j, k] of the z
-    arrays, and likewise along x and y.  State codes follow ApertureState.
+    The aperture data are dense arrays indexed by the facet position: the
+    z-facet between cells (i, j, k) and (i, j, k+1) is entry [i, j, k] of the
+    z arrays, and likewise along x and y.  State codes follow ApertureState.
     """
 
     n_x: int
@@ -292,17 +266,9 @@ class CellGrid:
     y_radius: np.ndarray
     y_state: np.ndarray
 
-    # --- counts -----------------------------------------------------------
-
     @property
     def n_membranes(self) -> int:
         return self.n_z - 1
-
-    def filtering_aperture_count(self) -> int:
-        return self.n_x * self.n_y * (self.n_z - 1)
-
-    def side_aperture_count(self) -> int:
-        return (self.n_x - 1) * self.n_y * self.n_z + self.n_x * (self.n_y - 1) * self.n_z
 
     def membrane_state_counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(open, particle_blocked, sediment_sealed) facet counts per membrane."""
@@ -311,64 +277,6 @@ class CellGrid:
         codes = m * self.z_state.astype(np.intp) + np.arange(m)
         counts = np.bincount(codes.reshape(-1), minlength=len(ApertureState) * m)
         return tuple(counts.reshape(len(ApertureState), m))
-
-    # --- element access ---------------------------------------------------
-
-    def aperture(self, axis: str, i: int, j: int, k: int) -> Aperture:
-        fam = next((f for f in _FACET_FAMILIES if f.name == axis), None)
-        if fam is None:
-            raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
-        radius0, radius, state, open_count = fam.arrays(self)
-        at = (i, j, k)
-        if fam.filtering:
-            mult, count = int(self.membrane_multiplicity[k]), int(open_count[at])
-        else:
-            mult, count = 1, int(state[at] == ApertureState.OPEN)
-        return Aperture(axis, at, fam.filtering, float(radius0[at]), float(radius[at]),
-                        ApertureState(int(state[at])), mult, count)
-
-    # --- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        payload = {
-            "shape": [self.n_x, self.n_y, self.n_z],
-            "cell_size": [self.h_x, self.h_y, self.h_z],
-            "viscosity": self.mu,
-            "inlet_mask": self.inlet_mask.astype(int).tolist(),
-            "outlet_mask": self.outlet_mask.astype(int).tolist(),
-            "membrane_multiplicity": self.membrane_multiplicity.tolist(),
-        }
-        for fam in _FACET_FAMILIES:
-            payload[fam.name] = {key: getattr(self, attr).tolist()
-                                 for key, attr in fam.fields.items()}
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CellGrid":
-        data = json.loads(text)
-        n_x, n_y, n_z = data["shape"]
-        h_x, h_y, h_z = data["cell_size"]
-        arrays = {attr: np.asarray(data[fam.name][key], dtype=_FACET_FIELDS[key])
-                  for fam in _FACET_FAMILIES for key, attr in fam.fields.items()}
-        return cls(
-            n_x=n_x, n_y=n_y, n_z=n_z, h_x=h_x, h_y=h_y, h_z=h_z,
-            mu=data["viscosity"],
-            inlet_mask=np.asarray(data["inlet_mask"], dtype=bool),
-            outlet_mask=np.asarray(data["outlet_mask"], dtype=bool),
-            membrane_multiplicity=np.asarray(data["membrane_multiplicity"], dtype=np.int64),
-            **arrays,
-        )
-
-    def copy(self) -> "CellGrid":
-        return replace(self, **{attr: getattr(self, attr).copy() for attr in _ARRAY_FIELDS})
-
-    def equals(self, other: "CellGrid") -> bool:
-        if (self.n_x, self.n_y, self.n_z) != (other.n_x, other.n_y, other.n_z):
-            return False
-        if (self.h_x, self.h_y, self.h_z, self.mu) != (other.h_x, other.h_y, other.h_z, other.mu):
-            return False
-        pairs = ((getattr(self, attr), getattr(other, attr)) for attr in _ARRAY_FIELDS)
-        return all(a.shape == b.shape and np.array_equal(a, b) for a, b in pairs)
 
 
 def _window_mask(n_x: int, n_y: int, window: Window) -> np.ndarray:
@@ -392,7 +300,7 @@ def build_grid(config: FilterConfig) -> CellGrid:
         values = [radius0, radius0.copy(), np.zeros(shape, dtype=np.int8)]
         if fam.filtering:
             values.append(np.full(shape, mult, dtype=np.int64))
-        arrays.update(zip(fam.fields.values(), values))   # radius0, radius, state, open_count
+        arrays.update(zip(fam.fields, values))   # radius0, radius, state, open_count
 
     return CellGrid(
         n_x=n_x, n_y=n_y, n_z=n_z,

@@ -10,7 +10,7 @@ from clogsim.model import Chemistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
-# exact expected texts of the JSON grid and config echo formats
+# exact expected texts of the config echo format, pinned traces and solves
 DATA_DIR = REPO_ROOT / "tests" / "data"
 
 # Calibration benchmark: 0.1 mm of deposit per 30-day month in a 1e-6 m

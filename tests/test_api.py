@@ -1,0 +1,28 @@
+"""The public surface of the package: a name added to or removed from the API
+shows up as an edit of this list."""
+
+from __future__ import annotations
+
+import clogsim
+
+PUBLIC_NAMES = [
+    "AVOGADRO", "ApertureState", "CalibrationInfeasibleError", "CalibrationResult",
+    "CellGrid", "Chemistry", "ConvergenceError", "DegenerateNetworkError",
+    "DepletionEstimate", "FilterConfig", "FlowField", "LayerSchedule", "LayerStats",
+    "LifetimeEstimate", "PressureField", "SimulationState", "SimulationTrace",
+    "SlowLayerSolution", "TraceSnapshot", "aperture_flow", "axial_depletion",
+    "build_grid", "calibrate_rate_constant", "catch_probability", "check_connected",
+    "equal_contamination_schedule", "flows_from_pressures", "growth_rate", "initialize",
+    "layer_concentrations", "lifetime_estimates", "outlet_flow", "pass_probability",
+    "penetration_probability", "pressure_csv", "quantile_penetration_forms",
+    "quantile_schedule", "radius_for_catch", "run", "solve_pressures",
+    "solve_slow_layer", "stationary_velocity", "step", "step_blocking_probability",
+    "total_flow", "uniform_schedule", "velocity_profile", "wall_concentration_profile",
+    "wall_concentration_slow",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(clogsim.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        getattr(clogsim, name)

@@ -252,6 +252,26 @@ class TestSimulateCommand:
             assert echoed.seed == seed
         assert len(capsys.readouterr().out.strip().splitlines()) == 3
 
+    def test_seed_range_past_maxsize_starts_its_first_seed(self, tmp_path, monkeypatch):
+        # such a range has no len(); its first seed still gets its own directory
+        class Stop(Exception):
+            pass
+
+        written = []
+
+        def write_then_stop(config, trace, out_dir):
+            written.append(out_dir)
+            raise Stop
+
+        monkeypatch.setattr("clogsim.cli.run", lambda config: None)
+        monkeypatch.setattr("clogsim.cli.write_run_artifacts", write_then_stop)
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(SMALL)
+        with pytest.raises(Stop):
+            main(["simulate", "--config", str(cfg_path), "--seed",
+                  "0..100000000000000000000", "--out", str(tmp_path / "batch")])
+        assert [out_dir.name for out_dir in written] == ["seed_0"]
+
     def test_degenerate_run_exits_three(self, tmp_path):
         cfg_path = tmp_path / "seal.cfg"
         cfg_path.write_text(SEALING)

@@ -187,13 +187,16 @@ class TestStepMechanics:
         for snap in trace.snapshots:
             assert snap.blocked == snap.catches
 
-    def test_explicit_rng_leaves_state_rng_untouched(self):
+    def test_step_draws_from_state_rng(self):
+        # captures draw from state.rng alone: equal seeds give equal draws,
+        # and the generator moves on
         cfg = make_config(dt=20000.0, seed=5)
         a, b = initialize(cfg), initialize(cfg)
-        step(a, rng=np.random.default_rng(123))
-        step(b, rng=np.random.default_rng(123))
+        start = a.rng.bit_generator.state
+        step(a)
+        step(b)
         np.testing.assert_array_equal(a.catches, b.catches)
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state != start
 
     def test_degenerate_raised_from_step(self):
         cfg = make_config()
@@ -561,6 +564,16 @@ class TestOpenFacets:
         grid.z_state[3, 3, 1] = ApertureState.PARTICLE_BLOCKED
         grid.z_open_count[3, 3, 1] = 0
         state.topology_dirty = True
+        # the rebuild alone already gives the concentrations the next
+        # capture reads: each membrane's pass, weighted over its open facets
+        engine._index_open_facets(state)
+        open_ = (grid.z_state == ApertureState.OPEN) & (grid.z_open_count > 0)
+        weights = np.where(open_, grid.z_open_count, 0)
+        mean_pass = ((weights * pass_probability(grid.z_radius, state.config.l_particle))
+                     .sum(axis=(0, 1)) / weights.sum(axis=(0, 1)))
+        np.testing.assert_allclose(
+            state.layer_concentration,
+            layer_concentrations(state.config.N_particles, mean_pass), rtol=1e-13)
         step(state)
         z, x, y = state.open_facets
         assert z is not z_before and x is not x_before and y is y_before

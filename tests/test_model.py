@@ -8,8 +8,6 @@ import pytest
 
 from clogsim.model import (ApertureState, Chemistry, FilterConfig, build_grid)
 
-from conftest import DATA_DIR
-
 
 def make_config(**overrides) -> FilterConfig:
     base = dict(
@@ -25,16 +23,16 @@ class TestCounts:
     def test_minimal_grid_aperture_counts(self):
         grid = build_grid(make_config(n_x=2, n_y=2, n_z=2, L_x=2e-4, L_y=2e-4, L_z=2e-4))
         # one membrane of 2x2 filtering apertures between the two layers
-        assert grid.filtering_aperture_count() == 4
+        assert grid.z_state.size == 4
         # 1*2*2 x-facets plus 2*1*2 y-facets
-        assert grid.side_aperture_count() == 8
+        assert grid.x_state.size + grid.y_state.size == 8
         assert grid.n_membranes == 1
 
     def test_scenario_grid_counts(self):
         cfg = make_config(n_x=20, n_y=20, n_z=20)
         grid = build_grid(cfg)
-        assert grid.filtering_aperture_count() == 20 * 20 * 19 == 7600
-        assert grid.side_aperture_count() == 19 * 20 * 20 + 20 * 19 * 20
+        assert grid.z_state.size == 20 * 20 * 19 == 7600
+        assert grid.x_state.size + grid.y_state.size == 19 * 20 * 20 + 20 * 19 * 20
 
     def test_membrane_state_counts_track_mutations(self):
         grid = build_grid(make_config())
@@ -63,6 +61,11 @@ class TestBuildGrid:
         assert np.all(grid.z_radius == cfg.filter_radii()[0])
         assert np.all(grid.x_radius == cfg.r_side)
         assert np.all(grid.z_open_count == 1)
+        for fam in "zxy":
+            assert getattr(grid, f"{fam}_radius0").dtype == np.float64
+            assert getattr(grid, f"{fam}_radius").dtype == np.float64
+            assert getattr(grid, f"{fam}_state").dtype == np.int8
+        assert grid.z_open_count.dtype == np.int64
 
     def test_per_membrane_radii(self):
         radii = (1e-5, 1.1e-5, 1.2e-5)
@@ -189,69 +192,3 @@ class TestValidation:
     def test_chemistry_rejects_bad_field(self, calcium, field, value):
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(calcium, **{field: value})
-
-
-class TestApertureAccess:
-    def test_filtering_aperture_snapshot(self):
-        grid = build_grid(make_config(aperture_multiplicity=3))
-        grid.z_radius[1, 2, 0] = 9e-6
-        grid.z_open_count[1, 2, 0] = 1
-        ap = grid.aperture("z", 1, 2, 0)
-        assert ap.filtering and ap.axis == "z"
-        assert ap.radius == 9e-6 and ap.radius_initial == pytest.approx(1.19e-5)
-        assert ap.sediment_thickness == pytest.approx(1.19e-5 - 9e-6)
-        assert ap.multiplicity == 3 and ap.open_count == 1
-        assert ap.is_open
-
-    def test_side_aperture_snapshot(self):
-        grid = build_grid(make_config())
-        grid.x_state[0, 1, 1] = ApertureState.SEDIMENT_SEALED
-        ap = grid.aperture("x", 0, 1, 1)
-        assert not ap.filtering and not ap.is_open
-        assert ap.state == ApertureState.SEDIMENT_SEALED
-        assert ap.open_count == 0
-
-    def test_bad_axis(self):
-        grid = build_grid(make_config())
-        with pytest.raises(ValueError, match="axis"):
-            grid.aperture("w", 0, 0, 0)
-
-
-class TestSerialization:
-    def _mutated_grid(self):
-        grid = build_grid(make_config(n_x=3, n_y=3, n_z=3))
-        grid.z_state[0, 1, 0] = ApertureState.PARTICLE_BLOCKED
-        grid.z_open_count[0, 1, 0] = 0
-        grid.y_state[2, 0, 1] = ApertureState.SEDIMENT_SEALED
-        grid.z_radius[1, 1, 1] *= 0.625
-        grid.x_radius[0, 0, 2] = 1.2345678901234e-5
-        return grid
-
-    def test_json_round_trip_bit_exact(self):
-        grid = self._mutated_grid()
-        back = grid.from_json(grid.to_json())
-        assert grid.equals(back)
-        assert np.array_equal(grid.z_radius, back.z_radius)
-        assert back.z_radius.dtype == np.float64
-        assert back.z_state.dtype == np.int8
-        assert back.z_open_count.dtype == np.int64
-
-    def test_json_text_is_pinned(self):
-        # the exact bytes, key order included; a round trip alone would not
-        # notice a reordered payload
-        expected = (DATA_DIR / "mutated_grid.json").read_bytes()
-        assert self._mutated_grid().to_json().encode() == expected
-
-    def test_copy_is_independent(self):
-        grid = self._mutated_grid()
-        dup = grid.copy()
-        assert grid.equals(dup)
-        dup.z_state[2, 2, 1] = ApertureState.SEDIMENT_SEALED
-        dup.z_radius[0, 0, 0] = 1e-6
-        assert not grid.equals(dup)
-        assert grid.z_state[2, 2, 1] == ApertureState.OPEN
-
-    def test_equals_rejects_other_shape(self):
-        a = build_grid(make_config(n_x=3, n_y=3, n_z=3))
-        b = build_grid(make_config())
-        assert not a.equals(b)
