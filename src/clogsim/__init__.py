@@ -15,16 +15,15 @@ from .engine import (LayerStats, SimulationState, SimulationTrace, TraceSnapshot
                      initialize, layer_concentrations, pass_probability, run, step,
                      step_blocking_probability)
 from .hydraulics import (ConvergenceError, DegenerateNetworkError, FlowField,
-                         PressureField, aperture_flow, check_connected,
-                         flows_from_pressures, outlet_flow, pressure_csv,
-                         solve_pressures, total_flow)
+                         PressureField, check_connected, flows_from_pressures,
+                         outlet_flow, solve_pressures, total_flow)
 from .model import (AVOGADRO, ApertureState, CellGrid, Chemistry, FilterConfig,
                     build_grid)
 from .sediment import (CalibrationInfeasibleError, CalibrationResult,
                        DepletionEstimate, SlowLayerSolution, axial_depletion,
                        calibrate_rate_constant, growth_rate, solve_slow_layer,
-                       stationary_velocity, velocity_profile,
-                       wall_concentration_profile, wall_concentration_slow)
+                       stationary_velocity, wall_concentration_profile,
+                       wall_concentration_slow)
 
 __version__ = "0.1.0"
 
@@ -48,7 +47,6 @@ __all__ = [
     "SimulationTrace",
     "SlowLayerSolution",
     "TraceSnapshot",
-    "aperture_flow",
     "axial_depletion",
     "build_grid",
     "calibrate_rate_constant",
@@ -63,7 +61,6 @@ __all__ = [
     "outlet_flow",
     "pass_probability",
     "penetration_probability",
-    "pressure_csv",
     "quantile_penetration_forms",
     "quantile_schedule",
     "radius_for_catch",
@@ -75,7 +72,6 @@ __all__ = [
     "step_blocking_probability",
     "total_flow",
     "uniform_schedule",
-    "velocity_profile",
     "wall_concentration_profile",
     "wall_concentration_slow",
 ]

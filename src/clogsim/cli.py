@@ -141,7 +141,6 @@ _SCHEMA = [_Key(*row) for row in (   # every config key, in echo order
     ("depletion_threshold", "depletion_threshold", _real("1"), repr, _ALWAYS),
     ("solver_tol", "solver_tol", _real("m^3/s"), repr, _NOT_DEFAULT),
     ("solver_max_iter", "solver_max_iter", _int, str, _NOT_DEFAULT),
-    ("solver_sweep", "solver_sweep", _text, str, _NOT_DEFAULT),
     ("aperture_multiplicity", "aperture_multiplicity", _listed(_int),
      _listed_text(lambda m: str(int(m))), _NOT_DEFAULT),
 )]

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import _FACET_FAMILIES, ApertureState, CellGrid, FilterConfig, build_grid
-from .hydraulics import (DegenerateNetworkError, FlowField, Hierarchy, _default_tol, _flows,
+from .hydraulics import (DegenerateNetworkError, FlowField, Hierarchy, _default_tol,
                          flows_from_pressures, solve_pressures, total_flow)
 from .sediment import (axial_depletion, growth_rate, solve_slow_layer,
                        wall_concentration_profile)
@@ -412,6 +412,31 @@ def _deposit(state: SimulationState, kinetics, dt: float, blocked: bool) -> None
                 table.weights[sealing] = 0
 
 
+def _solve(state: SimulationState) -> FlowField:
+    """Solve the pressures from the current start and the extrapolated
+    guess, keep the field and the one before it, and return the flows.
+    The connectivity check runs only after a topology change."""
+    guess = None
+    if state.prev_pressures is not None:
+        # p_n + (p_n - p_{n-1}) dt_n / dt_{n-1}, built in one array
+        guess = state.pressures - state.prev_pressures
+        guess *= state.last_dt / state.prev_dt
+        guess += state.pressures
+    field_ = solve_pressures(
+        state.grid, 0.0, state.p_out, tol=state.solver_tol,
+        max_iter=state.config.solver_max_iter, initial=state.pressures, guess=guess,
+        check_connectivity=state.topology_dirty, hierarchy=state.hierarchy)
+    if state.steps > 0:    # before the first solve, pressures holds the ramp
+        # one buffer per run: keeping each step's array a step longer
+        # fragments the heap and raised the peak RSS of scenario 1 by 1 MB
+        if state.prev_pressures is None:
+            state.prev_pressures = np.empty_like(state.pressures)
+        np.copyto(state.prev_pressures, state.pressures)
+    state.pressures = field_.pressure
+    state.topology_dirty = False
+    return flows_from_pressures(state.grid, field_)
+
+
 def step(state: SimulationState) -> SimulationState:
     """Advance the simulation one step (in place); records one trace row.
 
@@ -423,29 +448,9 @@ def step(state: SimulationState) -> SimulationState:
     grid = state.grid
     chem = cfg.chemistry
 
-    dirty = state.topology_dirty
-    if dirty:
+    if state.topology_dirty:
         _index_open_facets(state)
-    guess = None
-    if state.prev_pressures is not None:
-        # p_n + (p_n - p_{n-1}) dt_n / dt_{n-1}, built in one array
-        guess = state.pressures - state.prev_pressures
-        guess *= state.last_dt / state.prev_dt
-        guess += state.pressures
-    field_ = solve_pressures(
-        grid, 0.0, state.p_out, tol=state.solver_tol,
-        max_iter=cfg.solver_max_iter, initial=state.pressures, guess=guess,
-        sweep=cfg.solver_sweep, check_connectivity=dirty,
-        hierarchy=state.hierarchy)
-    if state.steps > 0:    # before the first solve, pressures holds the ramp
-        # one buffer per run: keeping each step's array a step longer
-        # fragments the heap and raised the peak RSS of scenario 1 by 1 MB
-        if state.prev_pressures is None:
-            state.prev_pressures = np.empty_like(state.pressures)
-        np.copyto(state.prev_pressures, state.pressures)
-    state.pressures = field_.pressure
-    state.topology_dirty = False
-    flows = _flows(field_.conductances, field_.pressure)
+    flows = _solve(state)
     total = total_flow(grid, flows)
     if state.clean_flow is None:
         state.clean_flow = total
@@ -510,11 +515,7 @@ def run(config: FilterConfig, *, max_steps: int = 1_000_000) -> SimulationTrace:
             break
         if config.time_limit is not None and state.time >= config.time_limit * (1 - 1e-12):
             try:
-                field_ = solve_pressures(
-                    state.grid, 0.0, state.p_out, tol=state.solver_tol,
-                    max_iter=config.solver_max_iter, initial=state.pressures,
-                    sweep=config.solver_sweep, check_connectivity=True)
-                flow_now = total_flow(state.grid, flows_from_pressures(state.grid, field_))
+                flow_now = total_flow(state.grid, _solve(state))
             except DegenerateNetworkError:
                 flow_now = 0.0
             _record(state, 0.0, flow_now, False)

@@ -75,9 +75,8 @@ class PressureField:
     pressure: np.ndarray   # (n_x, n_y, n_z), Pa
     residual: float        # max |net cell flow| over inner cells, m^3/s
     iterations: int        # CG iterations or Gauss-Seidel sweeps performed
-    # the per-facet conductances the solve used (``conductance_arrays``);
-    # the engine builds its step's flows from them
-    conductances: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # the per-facet conductances the solve used (``conductance_arrays``)
+    conductances: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -92,17 +91,6 @@ def _conduit_coefficient(section_area, section_perimeter, mu, length):
     """0.8 S^2 / (P^2 mu L): a conduit's flow per unit aperture area and
     unit pressure drop over the length L between two cell centres."""
     return 0.8 * section_area ** 2 / (section_perimeter ** 2 * mu * length)
-
-
-def aperture_flow(p_a: float, p_b: float, center_dist: float, section_area: float,
-                  section_perimeter: float, aperture_area: float, mu: float) -> float:
-    """Flow from cell a to cell b through one aperture, m^3/s (signed)."""
-    if not center_dist > 0:
-        raise ValueError(f"center_dist must be positive (m), got {center_dist!r}")
-    if not mu > 0:
-        raise ValueError(f"mu must be positive (Pa s), got {mu!r}")
-    coeff = _conduit_coefficient(section_area, section_perimeter, mu, center_dist)
-    return coeff * aperture_area * (p_a - p_b)
 
 
 def conductance_arrays(grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -349,9 +337,9 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     both starts pin the same window values, minus the operator applied to
     each start.  A start already within ``tol`` is returned as it is; else
     the chosen start's vector is CG's first residual.  ``sweep`` selects
-    "cg" (preconditioned conjugate gradient; the default and the
-    FilterConfig default) or "lexicographic" (scalar Gauss-Seidel in index
-    order, the reference for small grids).  Both converge to the same field
+    "cg" (preconditioned conjugate gradient; the default, and the engine's
+    sweep) or "lexicographic" (scalar Gauss-Seidel in index order, the
+    reference for small grids).  Both converge to the same field
     and honour the same residual bound.  ``check_connectivity=False`` skips
     ``check_connected`` for a caller that knows the topology is unchanged.
 
@@ -840,14 +828,11 @@ def _solve_lexicographic(p, residual, g, stencil, den, inflow, active, residual_
 
 
 def flows_from_pressures(grid: CellGrid, field: PressureField) -> FlowField:
-    """Signed per-aperture flows from a converged pressure field."""
-    return _flows(conductance_arrays(grid), field.pressure)
-
-
-def _flows(g, p) -> FlowField:
-    """Signed per-aperture flows from facet conductances ``g`` and pressures
-    ``p``; the engine passes the conductances its solve recorded."""
-    return FlowField(*(ga * (p[lo] - p[hi]) for ga, (lo, hi) in zip(g, _SIDES)))
+    """Signed per-aperture flows of a converged pressure field on ``grid``,
+    from the conductances its solve used: an edit to the grid after the
+    solve does not change them."""
+    p = field.pressure
+    return FlowField(*(g * (p[lo] - p[hi]) for g, (lo, hi) in zip(field.conductances, _SIDES)))
 
 
 def _layer_net_outflow(flows: FlowField, k: int) -> np.ndarray:
@@ -872,12 +857,3 @@ def total_flow(grid: CellGrid, flows: FlowField) -> float:
 def outlet_flow(grid: CellGrid, flows: FlowField) -> float:
     """Total flow leaving through the outlet window, m^3/s."""
     return float(-np.sum(_layer_net_outflow(flows, grid.n_z - 1)[grid.outlet_mask]))
-
-
-def pressure_csv(grid: CellGrid, field: PressureField) -> str:
-    """Cell pressures as CSV text with 1-based indices."""
-    lines = ["x,y,z,pressure_pa"]
-    p = field.pressure
-    for i, j, k in np.ndindex(p.shape):
-        lines.append(f"{i + 1},{j + 1},{k + 1},{float(p[i, j, k])!r}")
-    return "\n".join(lines) + "\n"

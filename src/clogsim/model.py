@@ -84,11 +84,11 @@ class Chemistry:
         for name in ("rate_constant", "diffusivity", "sediment_molar_mass",
                      "sediment_density", "solute_molar_mass"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"chemistry.{name} must be positive, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"chemistry.{name} must be positive and finite, got {value!r}")
         for name in ("reaction_order", "sediment_stoichiometry"):
             value = getattr(self, name)
-            if value < 1:
+            if not value >= 1:
                 raise ValueError(f"chemistry.{name} must be >= 1, got {value}")
 
 
@@ -123,7 +123,6 @@ class FilterConfig:
     blocking_law: str = "corrected"   # "simple" | "corrected"
     solver_tol: float | None = None   # pressure-solver residual [m^3/s]; None = auto
     solver_max_iter: int = 100_000
-    solver_sweep: str = "cg"          # "cg" | "lexicographic"
     time_limit: float | None = None   # stop the run at this model time [s]
     flow_stop_fraction: float = 1e-6  # stop when total flow drops below this times clean flow
     seal_fraction: float = 1e-2       # aperture seals when radius <= fraction of initial
@@ -214,11 +213,9 @@ class FilterConfig:
         if not (self.dt == "adaptive" if isinstance(self.dt, str) else 0 < self.dt < math.inf):
             raise ValueError(
                 f"dt must be a positive finite time in s or 'adaptive', got {self.dt!r}")
-        for name, words in (("blocking_law", ("simple", "corrected")),
-                            ("solver_sweep", ("cg", "lexicographic"))):
-            value = getattr(self, name)
-            if value not in words:
-                raise ValueError(f"{name} must be one of {', '.join(words)}; got {value!r}")
+        if self.blocking_law not in ("simple", "corrected"):
+            raise ValueError(
+                f"blocking_law must be one of simple, corrected; got {self.blocking_law!r}")
         for name, unit in (("solver_tol", "m^3/s"), ("time_limit", "s")):
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:

@@ -104,17 +104,6 @@ def _bracketed_root(func, lo, hi):
     return x
 
 
-def velocity_profile(v0: float, radial_pos, radius: float):
-    """Parabolic axial speed v0 (1 - r^2/R^2) at radial position(s) r."""
-    if not radius > 0:
-        raise ValueError(f"radius must be positive (m), got {radius!r}")
-    r = np.asarray(radial_pos, dtype=float)
-    if np.any(r < 0) or np.any(r > radius):
-        raise ValueError("radial position must lie in [0, radius]")
-    out = v0 * (1.0 - (r / radius) ** 2)
-    return float(out) if np.isscalar(radial_pos) else out
-
-
 def wall_concentration_slow(chem: Chemistry, radius, c0: float):
     """Wall concentration in the diffusion-limited regime.
 
@@ -258,11 +247,19 @@ def calibrate_rate_constant(growth: float, mass_concentration: float, *,
     stationary state: the wall sink that sustains ``growth`` must be matched
     by diffusion across the channel, which bounds the feasible growth.
     """
-    if not growth > 0:
-        raise ValueError(f"growth must be positive (m/s), got {growth!r}")
-    if not mass_concentration > 0:
-        raise ValueError(
-            f"mass_concentration must be positive (kg/m^3), got {mass_concentration!r}")
+    for name, value, unit in (("growth", growth, "m/s"),
+                              ("mass_concentration", mass_concentration, "kg/m^3"),
+                              ("solute_molar_mass", solute_molar_mass, "kg/mol"),
+                              ("sediment_molar_mass", sediment_molar_mass, "kg/mol"),
+                              ("sediment_density", sediment_density, "kg/m^3"),
+                              ("diffusivity", diffusivity, "m^2/s"),
+                              ("radius", radius, "m")):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite ({unit}), got {value!r}")
+    for name, value in (("reaction_order", reaction_order),
+                        ("sediment_stoichiometry", sediment_stoichiometry)):
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
 
     c0 = mass_concentration * AVOGADRO / solute_molar_mass
     supply = diffusivity * mass_concentration * sediment_molar_mass * sediment_stoichiometry

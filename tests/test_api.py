@@ -10,15 +10,14 @@ PUBLIC_NAMES = [
     "CellGrid", "Chemistry", "ConvergenceError", "DegenerateNetworkError",
     "DepletionEstimate", "FilterConfig", "FlowField", "LayerSchedule", "LayerStats",
     "LifetimeEstimate", "PressureField", "SimulationState", "SimulationTrace",
-    "SlowLayerSolution", "TraceSnapshot", "aperture_flow", "axial_depletion",
-    "build_grid", "calibrate_rate_constant", "catch_probability", "check_connected",
+    "SlowLayerSolution", "TraceSnapshot", "axial_depletion", "build_grid",
+    "calibrate_rate_constant", "catch_probability", "check_connected",
     "equal_contamination_schedule", "flows_from_pressures", "growth_rate", "initialize",
     "layer_concentrations", "lifetime_estimates", "outlet_flow", "pass_probability",
-    "penetration_probability", "pressure_csv", "quantile_penetration_forms",
+    "penetration_probability", "quantile_penetration_forms",
     "quantile_schedule", "radius_for_catch", "run", "solve_pressures",
     "solve_slow_layer", "stationary_velocity", "step", "step_blocking_probability",
-    "total_flow", "uniform_schedule", "velocity_profile", "wall_concentration_profile",
-    "wall_concentration_slow",
+    "total_flow", "uniform_schedule", "wall_concentration_profile", "wall_concentration_slow",
 ]
 
 

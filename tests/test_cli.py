@@ -2,14 +2,15 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from clogsim.cli import (_parse_seed_spec, format_config, main, parse_config,
-                         parse_config_text, write_run_artifacts)
+from clogsim.cli import (_SCHEMA, _SCHEMA_BY_KEY, _parse_seed_spec, format_config, main,
+                         parse_config, parse_config_text, write_run_artifacts)
 from clogsim.engine import run
-from clogsim.model import FilterConfig
+from clogsim.model import Chemistry, FilterConfig
 
 from conftest import (CONFIG_DIR, DATA_DIR, ENTRANCE_CONCENTRATION, GROWTH, RATE_CONSTANT,
                       WALL_CONCENTRATION)
@@ -79,7 +80,6 @@ class TestParseConfig:
         assert cfg.inlet_window is None
         assert cfg.chemistry is None
         assert cfg.blocking_law == "corrected"
-        assert cfg.solver_sweep == "cg"
 
     def test_comments_and_spacing(self):
         cfg = parse_config_text(SMALL.replace("n_x = 4", "n_x=4  # tight"))
@@ -125,6 +125,25 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="r_side"):
             parse_config_text(SMALL.replace("r_side = 2e-5", "r_side = 9e-5"))
 
+    @pytest.mark.parametrize("key", ["chemistry.K", "chemistry.D", "chemistry.mu2",
+                                     "chemistry.rho2", "chemistry.mu0"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_rejects_non_finite_chemistry(self, key, value):
+        text = re.sub(rf"^{re.escape(key)} = .*$", f"{key} = {value}", SEALING, flags=re.M)
+        with pytest.raises(ValueError, match=rf"chemistry\.{_SCHEMA_BY_KEY[key].field}"):
+            parse_config_text(text)
+
+    def test_schema_follows_the_config_fields(self):
+        # a field and its config key leave or arrive together
+        plain = sorted(row.field for row in _SCHEMA if not row.chemical)
+        assert sorted(plain + ["chemistry"]) == sorted(f.name for f in fields(FilterConfig))
+        chemical = sorted(row.field for row in _SCHEMA if row.chemical)
+        assert chemical == sorted(f.name for f in fields(Chemistry))
+
+    def test_solver_sweep_is_an_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown config keys: solver_sweep"):
+            parse_config_text(SMALL + "solver_sweep = cg\n")
+
 
 class TestFormatConfig:
     @pytest.mark.parametrize("name", ["scenario1.cfg", "scenario2.cfg", "scenario3.cfg"])
@@ -144,7 +163,7 @@ class TestFormatConfig:
             inlet_window=((1, 2), (2, 4)), outlet_window=((2, 3), (1, 1)),
             chemistry=calcium, c0_entrance=4.4e21, dt="adaptive",
             time_limit=3600.0, blocking_law="simple", seed=17,
-            solver_tol=1e-20, solver_max_iter=5000, solver_sweep="lexicographic",
+            solver_tol=1e-20, solver_max_iter=5000,
             aperture_multiplicity=(2, 3, 2, 2, 1))
 
     def test_round_trip_with_all_extras(self, all_extras):
@@ -164,7 +183,6 @@ class TestFormatConfig:
 
     def test_defaults_stay_out_of_the_echo(self):
         text = format_config(parse_config_text(SMALL))
-        assert "solver_sweep" not in text
         assert "solver_tol" not in text
         assert "solver_max_iter" not in text
         assert "aperture_multiplicity" not in text
@@ -371,14 +389,21 @@ class TestDesignCommand:
             main(["design", "--kind", "other"])
 
 
+def calibrate_argv(**overrides) -> list[str]:
+    """``clogsim calibrate`` on the calcium measurement; ``overrides`` maps
+    option names (underscores for dashes) to replacement text."""
+    options = {"growth": repr(GROWTH), "mass_concentration": "1e-3",
+               "solute_molar_mass": "0.136", "sediment_molar_mass": "0.100",
+               "sediment_density": "2710.0", "diffusivity": "1e-9", "radius": "1e-6"}
+    options.update(overrides)
+    # --key=value, so that argparse takes a negative value as the value
+    return ["calibrate"] + [f"--{name.replace('_', '-')}={value}"
+                            for name, value in options.items()]
+
+
 class TestCalibrateCommand:
     def test_calcium_numbers(self, capsys):
-        code = main(["calibrate", "--growth", repr(GROWTH),
-                     "--mass-concentration", "1e-3",
-                     "--solute-molar-mass", "0.136",
-                     "--sediment-molar-mass", "0.100",
-                     "--sediment-density", "2710.0",
-                     "--diffusivity", "1e-9", "--radius", "1e-6"])
+        code = main(calibrate_argv())
         assert code == 0
         kv = _kv(capsys.readouterr().out)
         assert float(kv["rate_constant"]) == pytest.approx(RATE_CONSTANT, rel=1e-12)
@@ -388,14 +413,27 @@ class TestCalibrateCommand:
             WALL_CONCENTRATION, rel=1e-12)
 
     def test_unreachable_growth_exits_two(self, capsys):
-        code = main(["calibrate", "--growth", "1e-9",
-                     "--mass-concentration", "1e-3",
-                     "--solute-molar-mass", "0.136",
-                     "--sediment-molar-mass", "0.100",
-                     "--sediment-density", "2710.0",
-                     "--diffusivity", "1e-9", "--radius", "1e-6"])
+        code = main(calibrate_argv(growth="1e-9"))
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value, name", [
+        ("growth", "inf", "growth"),
+        ("mass_concentration", "inf", "mass_concentration"),
+        ("solute_molar_mass", "0", "solute_molar_mass"),
+        ("sediment_molar_mass", "nan", "sediment_molar_mass"),
+        ("sediment_density", "0", "sediment_density"),
+        ("diffusivity", "-1e-9", "diffusivity"),
+        ("radius", "-1e-6", "radius"),
+        ("radius", "0", "radius"),
+        ("reaction_order", "0", "reaction_order"),
+        ("stoichiometry", "0", "sediment_stoichiometry"),
+    ])
+    def test_impossible_argument_exits_one(self, capsys, option, value, name):
+        code = main(calibrate_argv(**{option: value}))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert name in err and "infeasible" not in err
 
 
 class TestEstimateCommand:

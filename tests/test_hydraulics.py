@@ -11,12 +11,11 @@ import pytest
 
 from clogsim import hydraulics
 from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceError,
-                                DegenerateNetworkError, FlowField, Hierarchy,
-                                _bottom_inverse, _coarse_levels, _cut, _degree, _flows,
-                                _flux_apply, _Operator, _spread_add, _stencil,
-                                _VCycle, aperture_flow, check_connected,
-                                conductance_arrays, flows_from_pressures, outlet_flow,
-                                pressure_csv, reference_cell_flow, solve_pressures,
+                                DegenerateNetworkError, FlowField, Hierarchy, PressureField,
+                                _bottom_inverse, _coarse_levels, _cut, _degree,
+                                _flux_apply, _Operator, _spread_add, _stencil, _VCycle,
+                                check_connected, conductance_arrays, flows_from_pressures,
+                                outlet_flow, reference_cell_flow, solve_pressures,
                                 total_flow)
 from clogsim.cli import parse_config
 from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig, build_grid
@@ -130,29 +129,38 @@ def random_connected_grid(rng, close_prob_z: float, close_prob_side: float,
     raise AssertionError("could not draw a connected pattern")
 
 
+def layer_step_field(grid, drop: float) -> PressureField:
+    """A field that falls by ``drop`` from each cell layer to the next, with
+    the grid's conductances."""
+    ramp = -drop * np.arange(grid.n_z)
+    p = np.broadcast_to(ramp, (grid.n_x, grid.n_y, grid.n_z)).copy()
+    return PressureField(p, 0.0, 0, conductance_arrays(grid))
+
+
 class TestApertureFlow:
+    """The conduit law F = 0.8 S^2 s (p_a - p_b) / (P^2 mu L), through the
+    conductances and the flows built from them."""
+
     def test_frozen_sample_value(self):
         # one scenario cell: 5e-5 cube, 1.19e-5 aperture, 0.5 Pa step
-        flow = aperture_flow(0.0, -0.5, 5e-5, 2.5e-9, 2e-4, math.pi * 1.19e-5 ** 2, 1e-3)
-        assert flow == pytest.approx(SAMPLE_APERTURE_FLOW, rel=1e-12)
+        grid = scenario_grid()
+        flows = flows_from_pressures(grid, layer_step_field(grid, 0.5))
+        np.testing.assert_allclose(flows.flow_z, SAMPLE_APERTURE_FLOW, rtol=1e-12)
 
     def test_sign_follows_pressure_drop(self):
-        args = (5e-5, 2.5e-9, 2e-4, math.pi * 1e-10, 1e-3)
-        assert aperture_flow(1.0, 0.0, *args) > 0
-        assert aperture_flow(0.0, 1.0, *args) < 0
-        assert aperture_flow(1.0, 1.0, *args) == 0.0
+        grid = build_grid(make_config())
+        assert np.all(flows_from_pressures(grid, layer_step_field(grid, 1.0)).flow_z > 0)
+        assert np.all(flows_from_pressures(grid, layer_step_field(grid, -1.0)).flow_z < 0)
+        assert not np.any(flows_from_pressures(grid, layer_step_field(grid, 0.0)).flow_z)
 
     def test_linear_in_drop_and_area(self):
-        args = (5e-5, 2.5e-9, 2e-4)
-        base = aperture_flow(1.0, 0.0, *args, 1e-10, 1e-3)
-        assert aperture_flow(2.0, 0.0, *args, 1e-10, 1e-3) == pytest.approx(2 * base)
-        assert aperture_flow(1.0, 0.0, *args, 3e-10, 1e-3) == pytest.approx(3 * base)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="center_dist"):
-            aperture_flow(1.0, 0.0, 0.0, 1e-9, 1e-4, 1e-10, 1e-3)
-        with pytest.raises(ValueError, match="mu"):
-            aperture_flow(1.0, 0.0, 1e-5, 1e-9, 1e-4, 1e-10, 0.0)
+        grid = build_grid(make_config())
+        base = flows_from_pressures(grid, layer_step_field(grid, 1.0)).flow_z
+        double = flows_from_pressures(grid, layer_step_field(grid, 2.0)).flow_z
+        np.testing.assert_allclose(double, 2 * base, rtol=1e-12)
+        wide = build_grid(make_config(r_filter=math.sqrt(3) * 1e-5))
+        np.testing.assert_allclose(conductance_arrays(wide)[2],
+                                   3 * conductance_arrays(grid)[2], rtol=1e-12)
 
     def test_reference_cell_flow_matches_sample(self):
         grid = scenario_grid()
@@ -169,8 +177,7 @@ class TestConductances:
         perim = 4.0 * h
         expected = 0.8 * area ** 2 * math.pi * 1e-5 ** 2 / (perim ** 2 * 1e-3 * h)
         assert gz[0, 0, 0] == pytest.approx(expected, rel=1e-12)
-        flow = aperture_flow(1.0, 0.0, h, area, perim, math.pi * 1e-5 ** 2, 1e-3)
-        assert gz[1, 2, 1] == pytest.approx(flow, rel=1e-12)
+        assert gz[1, 2, 1] == gz[0, 0, 0]
 
     def test_closed_facets_conduct_nothing(self):
         grid = build_grid(make_config())
@@ -545,20 +552,6 @@ class TestConnectivity:
             check_connected(grid)
 
 
-class TestCsv:
-    def test_pressure_csv_layout(self):
-        grid = build_grid(make_config(n_x=2, n_y=2, n_z=2, L_x=1e-4, L_y=1e-4,
-                                      L_z=1e-4, r_filter=1e-5, r_side=2e-5))
-        field = solve_pressures(grid, 0.0, -1.0)
-        text = pressure_csv(grid, field)
-        lines = text.strip().splitlines()
-        assert lines[0] == "x,y,z,pressure_pa"
-        assert len(lines) == 1 + 8
-        first = lines[1].split(",")
-        assert first[:3] == ["1", "1", "1"]
-        assert float(first[3]) == pytest.approx(0.0, abs=1e-12)
-
-
 # Pressure bytes and iteration counts of the solves below (arrays
 # ``<name>_pressure`` and ``<name>_iterations``); a solve without a guess
 # must reproduce them exactly.  The CG entries were captured with the
@@ -631,7 +624,8 @@ def start_net_flow(grid, p_in: float, p_out: float, p):
     pinned = p.copy()
     pinned[:, :, 0][grid.inlet_mask] = p_in
     pinned[:, :, -1][grid.outlet_mask] = p_out
-    net = -cell_net_outflow(_flows(g, pinned), *p.shape)
+    net = -cell_net_outflow(flows_from_pressures(grid, PressureField(pinned, 0.0, 0, g)),
+                            *p.shape)
     active = ~window_cells(grid) & (den > 0)
     return np.where(active, net, 0.0), den, active
 
@@ -1203,10 +1197,10 @@ class TestConductancesOncePerSolve:
             p = field.pressure
             old = FlowField(*(ga * (p[lo] - p[hi])
                               for ga, (lo, hi) in zip(conductance_arrays(grid), _SIDES)))
-            for fresh in (flows_from_pressures(grid, field), _flows(field.conductances, p)):
-                for got, want in zip((fresh.flow_x, fresh.flow_y, fresh.flow_z),
-                                     (old.flow_x, old.flow_y, old.flow_z)):
-                    assert got.tobytes() == want.tobytes()
+            fresh = flows_from_pressures(grid, field)
+            for got, want in zip((fresh.flow_x, fresh.flow_y, fresh.flow_z),
+                                 (old.flow_x, old.flow_y, old.flow_z)):
+                assert got.tobytes() == want.tobytes()
             # random flows too: no conservation to hide a term
             flows = FlowField(*(rng.standard_normal(f.shape)
                                 for f in (old.flow_x, old.flow_y, old.flow_z)))
@@ -1220,15 +1214,19 @@ class TestConductancesOncePerSolve:
                 assert outlet_flow(grid, f) == \
                     float(-np.sum(net[:, :, -1][grid.outlet_mask]))
 
-    def test_flows_follow_the_grid_passed_in(self):
-        # apertures closed after the solve carry no flow, whatever the
-        # field recorded
+    def test_flows_stay_the_solves_after_a_grid_edit(self):
+        # apertures closed after the solve still carry the flow the solve
+        # gave them: the flows come from the conductances the solve used
         grid = guess_grid(n=5)
         field = solve_pressures(grid, 0.0, -2.0)
+        before = flows_from_pressures(grid, field)
         grid.x_state[...] = ApertureState.SEDIMENT_SEALED
-        flows = flows_from_pressures(grid, field)
-        assert np.count_nonzero(field.conductances[0]) > 0
-        assert not np.any(flows.flow_x)
+        grid.z_radius *= 0.5
+        after = flows_from_pressures(grid, field)
+        assert np.count_nonzero(after.flow_x) > 0
+        for got, want in zip((after.flow_x, after.flow_y, after.flow_z),
+                             (before.flow_x, before.flow_y, before.flow_z)):
+            assert got.tobytes() == want.tobytes()
 
 
 def reference_peel(grid) -> tuple[np.ndarray, dict[int, set[int]]]:

@@ -127,7 +127,7 @@ class TestValidation:
         ("blocking_law", "other", "blocking_law"),
         ("solver_tol", 0.0, "solver_tol"),
         ("solver_max_iter", 0, "solver_max_iter"),
-        ("solver_sweep", "jacobi", "solver_sweep"),
+        ("blocking_law", "Simple", "blocking_law"),
         ("time_limit", 0.0, "time_limit"),
         ("flow_stop_fraction", 1.5, "flow_stop_fraction"),
         ("seal_fraction", 0.0, "seal_fraction"),

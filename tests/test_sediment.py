@@ -12,8 +12,8 @@ from clogsim.model import AVOGADRO, Chemistry
 from clogsim.sediment import (CONVECTIVE, DIFFUSION_LIMITED, CalibrationInfeasibleError,
                               _bracketed_root, _convective_first_order, axial_depletion,
                               calibrate_rate_constant, growth_rate, solve_slow_layer,
-                              stationary_velocity, velocity_profile,
-                              wall_concentration_profile, wall_concentration_slow)
+                              stationary_velocity, wall_concentration_profile,
+                              wall_concentration_slow)
 
 from conftest import (CHANNEL_RADIUS, DIFFUSIVITY, ENTRANCE_CONCENTRATION, GROWTH,
                       MASS_CONCENTRATION, RATE_CONSTANT, SEDIMENT_DENSITY,
@@ -313,19 +313,6 @@ class TestAxialDepletion:
         strict = axial_depletion(calcium, 2.5e-5, c0, c1, 2.0, 1e-3, threshold=1e-4)
         assert 1e-4 < est.delta_c0 / c0 < 0.5
         assert est.negligible and not strict.negligible
-
-
-class TestVelocityProfile:
-    def test_parabola(self):
-        assert velocity_profile(2.0, 0.0, 1e-5) == pytest.approx(2.0)
-        assert velocity_profile(2.0, 1e-5, 1e-5) == 0.0
-        assert velocity_profile(2.0, 0.5e-5, 1e-5) == pytest.approx(1.5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            velocity_profile(1.0, 2e-5, 1e-5)
-        with pytest.raises(ValueError, match="radius"):
-            velocity_profile(1.0, 0.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
