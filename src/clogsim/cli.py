@@ -145,6 +145,7 @@ _SCHEMA = [_Key(*row) for row in (   # every config key, in echo order
      _listed_text(lambda m: str(int(m))), _NOT_DEFAULT),
 )]
 _SCHEMA_BY_KEY = {row.key: row for row in _SCHEMA}
+_CHEMISTRY_KEYS = {f"chemistry.{row.field}": row.key for row in _SCHEMA if row.chemical}
 _DEFAULTS = {f.name: f.default for f in fields(FilterConfig)}
 
 
@@ -171,7 +172,12 @@ def parse_config_text(text: str) -> FilterConfig:
         missing = [row.key for row in _SCHEMA if row.chemical and row.field not in chem_vals]
         if missing:
             raise ValueError(f"incomplete chemistry block, missing {', '.join(sorted(missing))}")
-        kwargs["chemistry"] = Chemistry(**chem_vals)
+        try:
+            kwargs["chemistry"] = Chemistry(**chem_vals)
+        except ValueError as err:
+            # the message starts "chemistry.<field>"; name the key the file wrote
+            name, rest = str(err).split(" ", 1)
+            raise ValueError(f"{_CHEMISTRY_KEYS.get(name, name)} {rest}") from None
 
     if values:
         raise ValueError(f"unknown config keys: {', '.join(sorted(values))}")

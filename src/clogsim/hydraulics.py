@@ -10,20 +10,14 @@ axis, and s the aperture area.  Flow through a blocked or sealed aperture
 is exactly zero.  Inlet and outlet window cells hold prescribed pressures;
 every other cell balances its aperture flows to zero, which yields a linear
 system.  Two solvers honour the same residual bound: conjugate gradient
+(production; float32 with float64 reliable updates, ``_solve_cg``)
 preconditioned by a multigrid V-cycle over in-layer aggregates
-(production), and a lexicographic Gauss-Seidel loop, the scalar reference
-for small grids.
+(``Hierarchy``), and a lexicographic Gauss-Seidel loop, the scalar
+reference for small grids.
 
 Every product with the system, on every multigrid level and in float32
 or float64, takes the network's own flux form (``_flux_apply``): each
 facet carries its conductance times the pressure drop across it.
-
-CG and its V-cycle run in float32, on the system scaled by a power of two;
-CG folds its correction into the float64 pressures, and recomputes their
-float64 residual, each time its own residual has fallen a hundredfold
-(reliable updates), and stops on that float64 residual.  The multigrid
-levels and the bottom level's inverse are built in float64 and cast once
-per build.
 
 Cells whose apertures are all closed have no equation; their pressure is
 left untouched and carries no flow.
@@ -343,31 +337,22 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     and honour the same residual bound.  ``check_connectivity=False`` skips
     ``check_connected`` for a caller that knows the topology is unchanged.
 
-    CG's multigrid preconditioner solves its bottom level (at most
-    ``_BOTTOM_SIZE`` unknowns per layer) exactly, by block elimination over
-    the layers.  ``hierarchy`` (a ``Hierarchy``, held by the caller across
-    a sequence of solves on one lattice) lets the solve reuse coarse levels
-    that an earlier solve built; without it, every solve builds its own.
-    Reuse changes the iterations CG needs, never the residual bound.  CG
-    and the preconditioner run in float32, scaled by a power of two so that
-    the result does not depend on the units of ``grid.mu``; the reliable
-    updates and the stopping rule run in float64.  The float32 copy of the
-    finest level and its buffers add nine and a half lattice-sized float32
-    arrays to a solve, CG's search direction and correction two more, and
-    the mask of its active cells a bool one.
+    ``hierarchy``, a ``Hierarchy`` held by the caller across a sequence of
+    solves on one lattice, is CG's preconditioner: the solve refreshes it
+    for its own system, keeping the coarse levels that an earlier solve
+    built while its reuse rule allows, and drops its finest level when it
+    ends, converged or not.  Without it, every solve builds its own.  Reuse
+    changes the iterations CG needs, never the residual bound.
 
     Unless the lattice is at least two cells wide both ways with every side
-    facet of positive conductance (then each layer is one slab, as in
-    ``check_connected``'s shortcut), the solve first peels the dead-end
-    trees off the network (``_peel``) and zeroes their facets on its own
-    stencil, so both sweeps solve the kept cells alone; after the solve,
-    each removed cell copies the pressure of its attachment, the neighbour
-    still in the system when it was removed (``_back_fill``).  Every
-    dead-end facet then carries exactly zero flow, and the reported
-    residual is the full system's.  A tree that hangs from no kept cell
-    takes the value its last removed cell had in the start, as an isolated
-    cell keeps its own.  ``PressureField.conductances`` stays the full
-    ``conductance_arrays``.
+    facet of positive conductance (``check_connected``'s shortcut: each
+    layer is one slab), the solve peels the dead-end trees off the network
+    (``_peel``), zeroing their facets on its own stencil, so both sweeps
+    solve the kept cells alone, and back-fills them after (``_back_fill``);
+    the reported residual is the full system's.  A tree that hangs from no
+    kept cell takes the value its last removed cell had in the start, as an
+    isolated cell keeps its own.  ``PressureField.conductances`` stays the
+    full ``conductance_arrays``.
     """
     if check_connectivity:
         check_connected(grid)
@@ -430,11 +415,14 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
         field = _solve_lexicographic(p, residual, g, stencil, den, inflow, active,
                                      residual_of, tol, max_iter)
     else:
-        # for the peak memory: no den during CG, no V-cycle in the back-fill
-        precondition = _VCycle(stencil, den, window, hierarchy)
+        # for the peak memory: no den during CG, no finest level after it
+        cycle = Hierarchy() if hierarchy is None else hierarchy
+        cycle.refresh(stencil, den, window)
         del den
-        field = _solve_cg(p, r, residual, g, precondition, residual_of, tol, max_iter)
-        del precondition
+        try:
+            field = _solve_cg(p, r, residual, g, cycle, residual_of, tol, max_iter)
+        finally:
+            cycle.finest = None
     if peeled is not None:
         _back_fill(field.pressure, *peeled)
     return field
@@ -612,63 +600,10 @@ def _bottom_inverse(level):
 
 
 class Hierarchy:
-    """The coarse multigrid levels of a sequence of pressure solves, held by
-    the caller and passed to each solve (``solve_pressures(...,
-    hierarchy=)``).
-
-    A solve's finest level is always its own operator.  The levels under it
-    and the bottom level's inverse are built by one solve and reused by the
-    next ones while the active cells stay the same, at most
-    ``_REUSE_LIMIT`` times; then, or when the active cells change, they are
-    built again.  Reuse suits a slowly changing sequence of systems, as the
-    deposit shrinking every aperture a little per step: a stale coarse
-    level costs CG iterations only, because the V(1,1) cycle with damped
-    Jacobi smoothing stays symmetric positive definite whatever its coarse
-    correction is.  Only the coarse levels are kept between solves, never
-    the lattice-sized finest one.
-
-    A build runs in float64: the coarse operators (``_coarse_levels``) and
-    the bottom inverse (``_bottom_inverse``, whose ``_SINGULAR`` pivot test
-    float32 rounding would break).  Both are then cast to float32 once,
-    scaled by ``scale``, the exact power of two that brings the finest
-    level's largest diagonal into [0.5, 1).  The conductances (about 1e-12
-    m^3/(s Pa) in scenario 1) would leave float32's range under a viscosity
-    2^100 times smaller or larger; scaled, they and the inverse sit in its
-    middle whatever the units, and since scaling by a power of two commutes
-    exactly with rounding, the pressures do not depend on them.  Every
-    solve scales its own float32 finest level by the same ``scale``, so
-    that it stays consistent with the kept coarse levels.
-    """
-
-    def __init__(self):
-        self.active = None            # the finest level's active cells at the build
-        self.scale = None             # the power of two the float32 levels carry
-        self.coarse = []              # float32 levels 1 and up
-        self.bottom_inverse = None    # float32, of the scaled bottom operator
-        self.reuses = 0               # solves served since the build
-
-    def levels_under(self, finest):
-        """Float32 levels 1 and up under the ``_Operator`` ``finest``, the
-        bottom level's scaled inverse and the scale: the kept ones if they
-        may serve ``finest``, new ones otherwise."""
-        active = finest.diag > 0
-        if self.coarse and self.reuses < _REUSE_LIMIT \
-                and np.array_equal(active, self.active):
-            self.reuses += 1
-        else:
-            coarse = _coarse_levels(finest)
-            # with no coarse level, finest is the bottom and nothing is kept
-            inverse = _bottom_inverse((coarse or [finest])[-1])
-            self.scale = 2.0 ** -math.frexp(float(finest.diag.max()))[1]
-            self.coarse = [_Level(level, self.scale) for level in coarse]
-            # the inverse of the scaled operator
-            self.bottom_inverse = (inverse / self.scale).astype(np.float32)
-            self.active, self.reuses = active, 0
-        return self.coarse, self.bottom_inverse, self.scale
-
-
-class _VCycle:
-    """Symmetric V(1,1) multigrid preconditioner over in-layer aggregates.
+    """CG's preconditioner for a sequence of pressure solves on one lattice:
+    a symmetric V(1,1) multigrid cycle over in-layer aggregates.  The caller
+    holds it and passes it to each solve (``solve_pressures(...,
+    hierarchy=)``), which refreshes it for its own system and calls it.
 
     Level 0 is the pressure system.  Each coarser level joins 2x2 cells (or
     aggregates) of one layer, never two layers; an odd last row or column
@@ -678,55 +613,89 @@ class _VCycle:
     exactly, through its dense inverse from block elimination over the
     layers (``_bottom_inverse``); every other level is smoothed by one
     damped Jacobi sweep before and one after its coarse correction, which
-    keeps the preconditioner symmetric positive (semi)definite.
+    keeps the cycle symmetric positive (semi)definite whatever its coarse
+    correction is.
 
     Every level's operator has all-zero rows and columns on the cells or
-    aggregates without an equation.  Prolongation and restriction therefore
-    need no masks: values there never reach an active one, and the coarse
-    operators are the Galerkin products of the plain aggregate sums.  They
-    are built from sums of non-negative terms only: a conductance is the
-    summed fine conductance between two aggregates, over facets whose two
-    cells are both active, and a window coupling is the summed coupling of
-    its cells, so every level keeps the flux form; a diagonal is the sum of
-    its row's conductances plus its window coupling.  A row of an aggregate
-    of isolated or floating cells is therefore exactly zero, and so are its
-    row and column of the bottom inverse.
+    aggregates without an equation, so prolongation and restriction need no
+    masks: values there never reach an active one, and the coarse operators
+    are the Galerkin products of the plain aggregate sums.  They are sums of
+    non-negative terms only (a conductance sums the fine ones between two
+    aggregates, over facets with both cells active; a window coupling sums
+    its cells'; a diagonal is its row's conductances plus its window
+    coupling), so every level keeps the flux form, and an aggregate of
+    isolated or floating cells has an exactly zero row, and a zero row and
+    column in the bottom inverse.  The coarse corrections spread values
+    onto the cells without an equation; the finest ``x`` is multiplied in
+    place by the active mask on its way out, so it, and with it every CG
+    search direction, is exactly zero there.
 
-    The cycle runs in float32, as CG does: smoothing, restriction,
-    prolongation and the bottom product (an ``sgemv``).  Its operators are
-    the hierarchy's float64 ones times the hierarchy's ``scale`` (a power
-    of two).  It reads CG's scaled residual ``scale * r`` in place, as the
-    finest level's ``rhs``; the scaled cycle B' = B / scale then gives
-    B' (scale r) = B r, in the units of the pressure.  The finest level's
-    float32 copy (three stencil arrays and their scratch, the window
-    coupling, the Jacobi weights, three work buffers and a half-lattice
-    one) is made for each solve.  The cycle is symmetric up to float32
-    rounding only, which CG tolerates.
+    Reuse: a solve's finest level is always its own operator.  The levels
+    under it and the bottom inverse are built by one solve and reused by the
+    next ones while the active cells stay the same, at most
+    ``_REUSE_LIMIT`` times; then, or when the active cells change, they are
+    built again.  That suits a slowly changing sequence of systems, as the
+    deposit shrinking every aperture a little per step: a stale coarse
+    level costs CG iterations only, as the cycle stays symmetric positive.
 
-    The coarse corrections spread values onto the cells without an
-    equation, which no active cell sees.  The finest ``x`` is multiplied in
-    place by the bool mask of the active cells (``den > 0``) on its way
-    out, so it is exactly zero there, and so is every CG search direction.
+    Precision: a build runs in float64, as the bottom inverse's
+    ``_SINGULAR`` pivot test needs, and casts the coarse levels and the
+    inverse to float32 once, scaled by ``scale``, the exact power of two
+    that brings the finest level's largest diagonal into [0.5, 1); each
+    solve scales its finest level by the same ``scale``.  The conductances
+    (about 1e-12 m^3/(s Pa) in scenario 1) would leave float32's range under
+    a viscosity 2^100 times smaller or larger; scaled, they sit in its
+    middle whatever the units, and since scaling by a power of two commutes
+    exactly with rounding, the pressures do not depend on them.  The cycle
+    runs in float32, as CG does, down to the bottom product (an ``sgemv``),
+    and is symmetric up to float32 rounding only, which CG tolerates.  It
+    reads CG's scaled residual ``scale * r`` in place as the finest
+    ``rhs``; the scaled cycle B' = B / scale then gives B' (scale r) = B r,
+    in the units of the pressure.
 
-    ``stencil`` and ``den`` give the finest operator in float64 and must
-    already be zero off the active cells; ``window`` is each active cell's
-    conductance to the window cells.  The levels under the finest come from
-    ``hierarchy`` (kept or rebuilt there), or are built for this cycle alone
-    without one.
+    Memory: between solves only the coarse levels, the bottom inverse and
+    the bool mask of the active cells are kept.  Each solve makes the
+    float32 finest level (three stencil arrays and their scratch, the
+    window coupling, the Jacobi weights, three work buffers and a
+    half-lattice one: nine and a half lattice-sized float32 arrays) and
+    drops it when it ends; CG's search direction and correction add two
+    more.
     """
 
-    def __init__(self, stencil, den, window, hierarchy=None):
+    def __init__(self):
+        self.active = None            # the active cells the coarse levels were built on
+        self.scale = None             # the power of two the float32 levels carry
+        self.finest = None            # float32 level 0, during a solve only
+        self.coarse = []              # float32 levels 1 and up
+        self.bottom_inverse = None    # float32, of the scaled bottom operator
+        self.reuses = 0               # solves served since the build
+
+    def refresh(self, stencil, den, window):
+        """Make the cycle for a solve's finest operator: ``stencil`` and
+        ``den`` in float64, zero off the active cells (``den > 0``), and
+        ``window``; the coarse levels are kept if they may serve it."""
         finest = _Operator(stencil, den, window)
-        coarse, self.bottom_inverse, self.scale = (
-            hierarchy if hierarchy is not None else Hierarchy()).levels_under(finest)
-        self.levels = [_Level(finest, self.scale), *coarse]
-        self.active = den > 0
+        active = den > 0
+        if self.coarse and self.reuses < _REUSE_LIMIT \
+                and np.array_equal(active, self.active):
+            self.reuses += 1
+        else:
+            coarse = _coarse_levels(finest)
+            # with no coarse level, finest is the bottom and nothing is kept
+            inverse = _bottom_inverse((coarse or [finest])[-1])
+            self.scale = 2.0 ** -math.frexp(float(den.max()))[1]
+            self.coarse = [_Level(level, self.scale) for level in coarse]
+            # the inverse of the scaled operator
+            self.bottom_inverse = (inverse / self.scale).astype(np.float32)
+            self.active, self.reuses = active, 0
+            del coarse, inverse    # the float64 build: freed before the finest level
+        self.finest = _Level(finest, self.scale)
 
     def __call__(self):
         """The preconditioned finest ``rhs``, written into the finest ``x``
         and returned; ``rhs`` must vanish off the active cells, and ``x``
         is zero there."""
-        levels = self.levels
+        levels = [self.finest, *self.coarse]
         for fine, coarse in zip(levels, levels[1:]):
             # pre-smoothing from zero, then restrict the residual
             np.multiply(fine.smooth, fine.rhs, out=fine.x)
@@ -743,15 +712,15 @@ class _VCycle:
             fine.res *= fine.smooth
             fine.x += fine.res
         # zero where the coarse corrections spread onto cells without an equation
-        return np.multiply(levels[0].x, self.active, out=levels[0].x)
+        return np.multiply(self.finest.x, self.active, out=self.finest.x)
 
 
-def _solve_cg(p, r, residual, g, precondition, residual_of, tol, max_iter):
+def _solve_cg(p, r, residual, g, cycle, residual_of, tol, max_iter):
     """Conjugate gradient on the pressure system from ``p``, whose float64
     residual vector is ``r`` and its norm ``residual``, preconditioned by
-    the multigrid V-cycle ``precondition`` (``_VCycle``).
+    the refreshed multigrid V-cycle ``cycle`` (a ``Hierarchy``).
 
-    CG runs in float32 on the system times the V-cycle's ``scale``, with
+    CG runs in float32 on the system times the cycle's ``scale``, with
     the finest level's operator and its ``rhs`` as the residual.  Reliable
     updates keep float64 accuracy: once the float32 residual's max norm
     falls under ``_RELIABLE`` times its value at the last update, or under
@@ -764,13 +733,13 @@ def _solve_cg(p, r, residual, g, precondition, residual_of, tol, max_iter):
     +0.0).  Floating regions (no path to a window) have balanced all-zero
     equations; a warm start from any converged field leaves them untouched.
     """
-    finest, scale = precondition.levels[0], precondition.scale
+    finest, scale = cycle.finest, cycle.scale
     # the V-cycle reads the residual from its rhs; its res holds A d, spent
     # once the residual is updated; the float64 r takes the reliable updates
     exact, r, q = r, np.multiply(r, scale, out=finest.rhs), finest.res
     bound = residual * scale    # the residual norm at the last update
     e = np.zeros_like(r)        # the correction since the last update
-    d = precondition().copy()
+    d = cycle().copy()
     rho = float(np.dot(r.ravel(), d.ravel()))
     for it in range(1, max_iter + 1):
         _flux_apply(d, finest.stencil, finest.window, q)
@@ -793,7 +762,7 @@ def _solve_cg(p, r, residual, g, precondition, residual_of, tol, max_iter):
                 return PressureField(p, residual, it, g)
             np.multiply(exact, scale, out=r)
             bound = residual * scale
-        z = precondition()
+        z = cycle()
         rho_new = float(np.dot(r.ravel(), z.ravel()))
         d *= rho_new / rho
         d += z

@@ -251,7 +251,6 @@ class CellGrid:
     mu: float                     # Pa s; kept with the grid so flows are computable
     inlet_mask: np.ndarray        # (n_x, n_y) bool, first layer
     outlet_mask: np.ndarray       # (n_x, n_y) bool, last layer
-    membrane_multiplicity: np.ndarray   # (n_z - 1,) int
     z_radius0: np.ndarray         # (n_x, n_y, n_z - 1) float
     z_radius: np.ndarray
     z_state: np.ndarray           # int8
@@ -305,6 +304,5 @@ def build_grid(config: FilterConfig) -> CellGrid:
         mu=config.mu,
         inlet_mask=_window_mask(n_x, n_y, config.resolved_window("inlet")),
         outlet_mask=_window_mask(n_x, n_y, config.resolved_window("outlet")),
-        membrane_multiplicity=mult.copy(),
         **arrays,
     )

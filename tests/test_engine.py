@@ -396,6 +396,7 @@ class TestHierarchy:
             step(state)
         assert len(calls) == 6 and all(h is state.hierarchy for h in calls)
         assert state.hierarchy.coarse and state.hierarchy.reuses > 0
+        assert state.hierarchy.finest is None
 
     def test_time_limit_solve_shares_the_hierarchy(self, monkeypatch):
         calls = []

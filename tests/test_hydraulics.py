@@ -13,7 +13,7 @@ from clogsim import hydraulics
 from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceError,
                                 DegenerateNetworkError, FlowField, Hierarchy, PressureField,
                                 _bottom_inverse, _coarse_levels, _cut, _degree,
-                                _flux_apply, _Operator, _spread_add, _stencil, _VCycle,
+                                _flux_apply, _Operator, _spread_add, _stencil,
                                 check_connected, conductance_arrays, flows_from_pressures,
                                 outlet_flow, reference_cell_flow, solve_pressures,
                                 total_flow)
@@ -555,7 +555,7 @@ class TestConnectivity:
 # Pressure bytes and iteration counts of the solves below (arrays
 # ``<name>_pressure`` and ``<name>_iterations``); a solve without a guess
 # must reproduce them exactly.  The CG entries were captured with the
-# float32 multigrid preconditioner (``_VCycle``) whose bottom level, at
+# float32 multigrid preconditioner (``Hierarchy``) whose bottom level, at
 # most ``_BOTTOM_SIZE`` unknowns per layer, is inverted in float64 by block
 # elimination over the layers.  All entries were captured again when the
 # solver began to peel dead-end branches off the network before solving
@@ -817,16 +817,24 @@ def restricted_system(grid):
 
 def preconditioner(grid, hierarchy=None):
     """The CG preconditioner of ``grid``'s pressure system (the float32
-    V-cycle), built the way the solver builds it, with the active mask."""
+    V-cycle): ``hierarchy``, or a fresh ``Hierarchy``, refreshed the way
+    the solver refreshes it, with the active mask."""
     stencil, den, window, active = restricted_system(grid)
-    return _VCycle(stencil, den, window, hierarchy), active
+    cycle = Hierarchy() if hierarchy is None else hierarchy
+    cycle.refresh(stencil, den, window)
+    return cycle, active
+
+
+def cycle_levels(cycle) -> list:
+    """The float32 levels of a refreshed V-cycle, finest first."""
+    return [cycle.finest, *cycle.coarse]
 
 
 def apply_cycle(cycle, r) -> np.ndarray:
     """The V-cycle ``cycle`` on the float64 vector ``r``: ``r`` times the
     cycle's scale into its finest ``rhs``, as CG's scaled residual, and
     the float32 result back as float64."""
-    np.multiply(r, cycle.scale, out=cycle.levels[0].rhs)
+    np.multiply(r, cycle.scale, out=cycle.finest.rhs)
     return cycle().astype(float)
 
 
@@ -885,15 +893,16 @@ def hierarchy_builds_digest(monkeypatch) -> str:
     bottom inverse."""
     digest = hashlib.sha256()
 
-    class Recording(_VCycle):
-        def __init__(self, stencil, den, window, hierarchy=None):
-            super().__init__(stencil, den, window, hierarchy)
-            for a in (den, window, *(level.smooth for level in self.levels),
-                      self.bottom_inverse):
-                digest.update(a.tobytes())
-            digest.update(repr(self.scale).encode())
+    refresh = Hierarchy.refresh
 
-    monkeypatch.setattr(hydraulics, "_VCycle", Recording)
+    def recording(self, stencil, den, window):
+        refresh(self, stencil, den, window)
+        for a in (den, window, *(level.smooth for level in cycle_levels(self)),
+                  self.bottom_inverse):
+            digest.update(a.tobytes())
+        digest.update(repr(self.scale).encode())
+
+    monkeypatch.setattr(Hierarchy, "refresh", recording)
     for seed, n in [(11, 12), (12, 16)]:
         for _ in closure_solves(seed, n):
             pass
@@ -936,7 +945,7 @@ class TestMultigrid:
         # equation; the cycle's output drops them, so CG's step needs no mask
         rng = np.random.default_rng(11 * sum(shape) + floating)
         precondition, active = preconditioner(holed_grid(rng, shape, floating))
-        finest, coarse = precondition.levels[:2]
+        finest, coarse = cycle_levels(precondition)[:2]
         for _ in range(3):
             r = np.where(active, rng.standard_normal(shape), 0.0)
             finest.x.fill(np.nan)
@@ -1006,7 +1015,7 @@ class TestMultigrid:
         assert np.all(inverse[row] == 0.0) and np.all(inverse[:, row] == 0.0)
         # and so in the float32 cycle
         precondition, active = preconditioner(grid)
-        bottom = precondition.levels[-1]
+        bottom = cycle_levels(precondition)[-1]
         r = np.where(active, np.random.default_rng(4).standard_normal(active.shape), 0.0)
         apply_cycle(precondition, r)
         assert bottom.x[1, 1, 2] == 0.0
@@ -1064,7 +1073,7 @@ class TestMultigrid:
         for _ in range(3):
             grid = build_grid(config)
             shrink_radii(grid, rng, 0.3, 1.0)
-            assert len(preconditioner(grid)[0].levels) == 1
+            assert not preconditioner(grid)[0].coarse
             A, rhs, active = active_system(grid, 0.0, -2.0)
             want = np.zeros(active.shape)
             want[active] = np.linalg.solve(A, rhs)
@@ -1092,11 +1101,7 @@ class TestMultigrid:
         assert hierarchy_builds_digest(monkeypatch) == HIERARCHY_BUILDS_SHA256
 
     def test_non_positive_curvature_reports_where_it_stopped(self, monkeypatch):
-        class Zero(_VCycle):
-            def __call__(self):
-                return np.zeros_like(self.levels[0].x)
-
-        monkeypatch.setattr(hydraulics, "_VCycle", Zero)
+        monkeypatch.setattr(Hierarchy, "__call__", lambda self: np.zeros_like(self.finest.x))
         with pytest.raises(ConvergenceError, match="broke down at iteration 1: curvature") \
                 as err:
             solve_pressures(scenario_grid(), 0.0, -10.0, sweep="cg")
@@ -1113,14 +1118,14 @@ class TestHierarchyReuse:
         kept = hierarchy.coarse
         shrink_radii(grid, rng, 0.80, 0.99)
         precondition, active = preconditioner(grid, hierarchy)
+        assert precondition is hierarchy
         assert hierarchy.coarse is kept and hierarchy.reuses == 1
-        assert precondition.levels[1:] == kept
         # level 0 is the operator of the shrunken radii; a fresh build may
         # pick another scale, and dividing by it is exact
         fresh = preconditioner(grid)[0]
 
         def unscaled(cycle, k):
-            level = cycle.levels[k]
+            level = cycle_levels(cycle)[k]
             return (level.window / cycle.scale).tobytes() \
                 + (level.smooth * cycle.scale).tobytes()
 
@@ -1159,6 +1164,24 @@ class TestHierarchyReuse:
         solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
         assert hierarchy.coarse is not kept and hierarchy.reuses == 0
         assert not np.array_equal(hierarchy.active, active)
+
+    def test_held_hierarchy_keeps_only_its_coarse_levels(self):
+        # no lattice-sized float32 level outlives a solve, converged or not
+        grid = guess_grid(n=8)
+        cells = grid.n_x * grid.n_y * grid.n_z
+        hierarchy = Hierarchy()
+        field = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        assert field.iterations > 1
+        assert hierarchy.finest is None and hierarchy.coarse
+        assert all(level.window.size < cells for level in hierarchy.coarse)
+        kept = hierarchy.coarse
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            solve_pressures(grid, 0.0, -2.0, max_iter=1, hierarchy=hierarchy)
+        assert hierarchy.finest is None
+        assert hierarchy.coarse is kept and hierarchy.reuses == 1
+        again = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        assert again.pressure.tobytes() == field.pressure.tobytes()
+        assert hierarchy.finest is None and hierarchy.reuses == 2
 
     def test_solve_without_hierarchy_builds_its_own(self, monkeypatch):
         builds = []
@@ -1570,8 +1593,9 @@ class TestFloat32CG:
         grid = random_connected_grid(np.random.default_rng(40), 0.3, 0.3,
                                      scenario_config())
         stencil, den, window, active = restricted_system(grid)
-        cycle = _VCycle(stencil, den, window)
-        finest, scale = cycle.levels[0], cycle.scale
+        cycle = Hierarchy()
+        cycle.refresh(stencil, den, window)
+        finest, scale = cycle.finest, cycle.scale
         x, y, z = np.indices(active.shape) / 20.0
         v = np.where(active, -1.0 + 1e-4 * np.sin(3 * x + 2 * y) * np.cos(4 * z), 0.0)
         v32 = v.astype(np.float32)

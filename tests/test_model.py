@@ -77,7 +77,8 @@ class TestBuildGrid:
         grid = build_grid(make_config(aperture_multiplicity=(2, 3, 4)))
         assert grid.z_open_count[:, :, 0].max() == 2
         assert grid.z_open_count[:, :, 2].min() == 4
-        assert grid.membrane_multiplicity.tolist() == [2, 3, 4]
+        assert [np.unique(grid.z_open_count[:, :, k]).tolist() for k in range(3)] \
+            == [[2], [3], [4]]
 
     def test_default_window_covers_face(self):
         grid = build_grid(make_config())
