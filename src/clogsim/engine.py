@@ -41,7 +41,7 @@ from .model import _FACET_FAMILIES, ApertureState, CellGrid, FilterConfig, build
 from .hydraulics import (DegenerateNetworkError, FlowField, Hierarchy, _default_tol,
                          flows_from_pressures, solve_pressures, total_flow)
 from .sediment import (axial_depletion, growth_rate, solve_slow_layer,
-                       wall_concentration_profile)
+                       wall_concentration_profile, wall_concentration_slow)
 
 BLOCKING_SIMPLE = "simple"
 BLOCKING_CORRECTED = "corrected"
@@ -350,9 +350,18 @@ def _depletion_warning(state: SimulationState, kinetics) -> bool:
     z_speed = kinetics[0][2]
     speed = float(z_speed.mean()) if z_speed.size else 0.0
     cavity = (cfg.h_x + cfg.h_y + cfg.h_z) / 3.0
-    c1 = solve_slow_layer(chem, cavity, cfg.c0_entrance, speed).wall_concentration
-    est = axial_depletion(chem, cavity, cfg.c0_entrance, c1, speed, cfg.L_z,
-                          threshold=cfg.depletion_threshold)
+    c0, threshold = cfg.c0_entrance, cfg.depletion_threshold
+    if speed > 0:
+        # the drop over c0 is per c1^n, with c1 between its diffusion-limited
+        # value and c0: bounds clear of the threshold by far more than
+        # rounding decide without the slow-layer solve
+        per, n = 4.0 * chem.rate_constant * cfg.L_z / (speed * cavity * c0), chem.reaction_order
+        if per * wall_concentration_slow(chem, cavity, c0) ** n > threshold * (1 + 1e-9):
+            return True
+        if per * c0 ** n < threshold * (1 - 1e-9):
+            return False
+    c1 = solve_slow_layer(chem, cavity, c0, speed).wall_concentration
+    est = axial_depletion(chem, cavity, c0, c1, speed, cfg.L_z, threshold=threshold)
     return not est.negligible
 
 

@@ -13,7 +13,9 @@ system.  Two solvers honour the same residual bound: conjugate gradient
 (production; float32 with float64 reliable updates, ``_solve_cg``)
 preconditioned by a multigrid V-cycle over in-layer aggregates
 (``Hierarchy``), and a lexicographic Gauss-Seidel loop, the scalar
-reference for small grids.
+reference for small grids.  A ``Hierarchy`` also holds the system: a
+caller that solves a sequence of systems on one lattice keeps one, and
+each solve rewrites it in place.
 
 Every product with the system, on every multigrid level and in float32
 or float64, takes the network's own flux form (``_flux_apply``): each
@@ -100,9 +102,11 @@ def conductance_arrays(grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
         coeff = _conduit_coefficient(section_a * section_b, 2.0 * (section_a + section_b),
                                      grid.mu, h[fam.axis])
         _, radius, state, open_count = fam.arrays(grid)
-        g = np.where(state == ApertureState.OPEN, coeff * math.pi * radius ** 2, 0.0)
+        g = np.square(radius)
+        g *= coeff * math.pi
         if fam.filtering:
             g *= open_count
+        g *= state == ApertureState.OPEN.value    # as selecting, for a finite radius
         out.append(g)
     return tuple(out)
 
@@ -233,32 +237,53 @@ def _back_fill(p, rounds, links) -> None:
     Rounds run in reverse, so an attachment removed later already holds its
     value.  A cell removed with no bit left keeps its own value.
     """
-    flat_p, flat_r = p.reshape(-1), rounds.reshape(-1)
+    flat_p, flat_r, flat_links = p.reshape(-1), rounds.reshape(-1), links.reshape(-1)
     step_of = np.zeros(2 * _BITS[-1], dtype=np.intp)
     step_of[_BITS] = _steps(p.shape)
-    source = step_of[links.reshape(-1)] + np.arange(flat_r.size)
     for r in range(int(flat_r.max()), 0, -1):
         cells = np.flatnonzero(flat_r == r)
-        flat_p[cells] = flat_p[source[cells]]
+        flat_p[cells] = flat_p[cells + step_of[flat_links[cells]]]
+
+
+def _views(block):
+    """Flat conductances for ``_flux_apply`` on the zeroed array ``block``
+    of shape (3, n_x, n_y, n_z), the ``base`` of each view: per axis (x, y,
+    z) its stride in the flat cell array, the conductance from each flat
+    index to the one a stride up (zero off the lattice), a shared scratch
+    view, and the facet conductances as a 3-D view of the same memory."""
+    shape = block.shape[1:]
+    strides = (shape[1] * shape[2], shape[2], 1)
+    scratch = np.empty(math.prod(shape), block.dtype)
+    return tuple((s, full.reshape(-1)[:-s], scratch[:full.size - s], full[lo])
+                 for full, s, (lo, _) in zip(block, strides, _SIDES))
 
 
 def _stencil(g, dtype=np.float64):
-    """Flat conductances for ``_flux_apply``: per axis (x, y, z) its
-    stride in the flat cell array, the conductance from each flat index to
-    the one a stride up (zero off the lattice), a shared scratch view, and
-    the facet conductances as a 3-D view of the same memory, all of
-    ``dtype``.
-    """
+    """``_views`` of a new block of ``dtype`` holding the facet
+    conductances ``g``."""
     shape = (g[0].shape[0] + 1,) + g[0].shape[1:]
-    strides = (shape[1] * shape[2], shape[2], 1)
-    scratch = np.empty(math.prod(shape), dtype)
-    terms = []
-    for ga, s, (lo, _) in zip(g, strides, _SIDES):
-        full = np.zeros(shape, dtype)
-        full[lo] = ga
-        up = full.reshape(-1)[:-s]
-        terms.append((s, up, scratch[:up.size], full[lo]))
-    return tuple(terms)
+    stencil = _views(np.zeros((3,) + shape, dtype))
+    for (*_, facets), ga in zip(stencil, g):
+        facets[...] = ga
+    return stencil
+
+
+def _run(calls) -> None:
+    """Make the numpy calls of a list of (function, arguments) pairs."""
+    for call, args in calls:
+        call(*args)
+
+
+def _flux_calls(v, stencil, window, out) -> list:
+    """``_flux_apply(v, stencil, window, out)`` as calls on views of its
+    operands, made once, for ``_run``."""
+    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+    calls = [(np.multiply, (window, v, out))]
+    for s, up, t, _ in stencil:
+        lo, hi = flat_out[:-s], flat_out[s:]
+        calls += [(np.subtract, (flat_v[:-s], flat_v[s:], t)), (np.multiply, (t, up, t)),
+                  (np.add, (lo, t, lo)), (np.subtract, (hi, t, hi))]
+    return calls
 
 
 def _flux_apply(v, stencil, window, out):
@@ -271,13 +296,7 @@ def _flux_apply(v, stencil, window, out):
     so a float32 product keeps the tiny net flows of a near-constant ``v``.
     On the flat views of the C-contiguous ``v`` and ``out`` every operation
     is contiguous and allocation free."""
-    np.multiply(window, v, out=out)
-    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
-    for s, up, t, _ in stencil:
-        np.subtract(flat_v[:-s], flat_v[s:], out=t)
-        t *= up
-        flat_out[:-s] += t
-        flat_out[s:] -= t
+    _run(_flux_calls(v, stencil, window, out))
     return out
 
 
@@ -302,7 +321,7 @@ def _default_tol(grid: CellGrid, p_in: float, p_out: float) -> float:
 
 
 def _start_field(values, name: str, shape) -> np.ndarray:
-    p = np.array(values, dtype=float, copy=True)
+    p = np.asarray(values, dtype=float)
     if p.shape != shape:
         raise ValueError(f"{name} pressure shape {p.shape} != {shape}")
     if not np.isfinite(p).all():
@@ -338,16 +357,17 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     ``check_connected`` for a caller that knows the topology is unchanged.
 
     ``hierarchy``, a ``Hierarchy`` held by the caller across a sequence of
-    solves on one lattice, is CG's preconditioner: the solve refreshes it
-    for its own system, keeping the coarse levels that an earlier solve
-    built while its reuse rule allows, and drops its finest level when it
-    ends, converged or not.  Without it, every solve builds its own.  Reuse
-    changes the iterations CG needs, never the residual bound.
+    solves on one lattice, keeps the system and CG's preconditioner: the
+    solve rewrites it in place for its own system, keeping the coarse
+    levels that an earlier solve built while its reuse rule allows.
+    Without it, every solve builds its own.  Reuse changes the iterations
+    CG needs, never the residual bound.  The returned field's arrays are
+    its own: no later solve writes them.
 
     Unless the lattice is at least two cells wide both ways with every side
     facet of positive conductance (``check_connected``'s shortcut: each
     layer is one slab), the solve peels the dead-end trees off the network
-    (``_peel``), zeroing their facets on its own stencil, so both sweeps
+    (``_peel``), zeroing their facets on the system's stencil, so both sweeps
     solve the kept cells alone, and back-fills them after (``_back_fill``);
     the reported residual is the full system's.  A tree that hangs from no
     kept cell takes the value its last removed cell had in the start, as an
@@ -365,64 +385,35 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
 
     n_x, n_y, n_z = grid.n_x, grid.n_y, grid.n_z
     g = conductance_arrays(grid)
-    # with two or more cells a side and every side facet conducting, every
-    # cell has two linked in-layer neighbours: no dead end can exist
-    slab = n_x >= 2 and n_y >= 2 and g[0].all() and g[1].all()
 
     if initial is not None:
-        p = _start_field(initial, "initial", (n_x, n_y, n_z))
+        p = _start_field(initial, "initial", (n_x, n_y, n_z)).copy()
     else:
         ramp = np.linspace(p_in, p_out, n_z)
         p = np.broadcast_to(ramp, (n_x, n_y, n_z)).copy()
 
-    fixed = np.zeros((n_x, n_y, n_z), dtype=bool)
-    fixed[:, :, 0] |= grid.inlet_mask
-    fixed[:, :, -1] |= grid.outlet_mask
     p[:, :, 0][grid.inlet_mask] = p_in
     p[:, :, -1][grid.outlet_mask] = p_out
 
-    stencil = _stencil(g)
-    peeled = None if slab else _peel(g, fixed)
-    if peeled is not None:
-        _cut(stencil, peeled[0] == 0)
-    den = _degree(stencil, np.empty_like(p))
-    active = ~fixed & (den > 0)
-    work = np.empty_like(p)
-    # each active cell's flow in from the window cells, at their pinned
-    # pressures and at unit pressure: the net outflow of minus those values
-    inflow, window = (np.where(active, _flux_apply(np.where(fixed, -v, 0.0), stencil, 0.0,
-                                                   work), 0.0) for v in (p, 1.0))
-    # all-zero rows and columns off the active cells
-    _cut(stencil, active)
-    den *= active
-
-    def residual_of(x, out):
-        """The float64 residual vector of ``x`` and its norm; the operator's
-        zero rows and columns off the active cells cancel ``x`` there."""
-        r = np.subtract(inflow, _flux_apply(x, stencil, window, out), out=out)
-        return r, _max_abs(r)
-
-    r, residual = residual_of(p, work)
+    system = Hierarchy() if hierarchy is None else hierarchy
+    den = system.rewrite(grid, g, p)
+    r, residual = system.residual_of(p, system.work)
     if guess is not None:
-        trial = np.where(active, _start_field(guess, "guess", p.shape), p)
-        r_trial, trial_residual = residual_of(trial, np.empty_like(p))
+        trial = np.where(system.active, _start_field(guess, "guess", p.shape), p)
+        r_trial, trial_residual = system.residual_of(trial, np.empty_like(p))
         if trial_residual < residual:
             p, r, residual = trial, r_trial, trial_residual
         del trial, r_trial
     if residual <= tol:
         field = PressureField(p, residual, 0, g)
     elif sweep == "lexicographic":
-        field = _solve_lexicographic(p, residual, g, stencil, den, inflow, active,
-                                     residual_of, tol, max_iter)
+        field = _solve_lexicographic(p, residual, g, system, den, tol, max_iter)
     else:
-        # for the peak memory: no den during CG, no finest level after it
-        cycle = Hierarchy() if hierarchy is None else hierarchy
-        cycle.refresh(stencil, den, window)
-        del den
-        try:
-            field = _solve_cg(p, r, residual, g, cycle, residual_of, tol, max_iter)
-        finally:
-            cycle.finest = None
+        system.refresh(system.stencil, den, system.window)
+        del den    # for the peak memory: none during CG
+        field = _solve_cg(p, r, residual, g, system, tol, max_iter)
+    peeled = system.peeled
+    del system    # for the peak memory: a solve's own one goes before the back-fill
     if peeled is not None:
         _back_fill(field.pressure, *peeled)
     return field
@@ -444,17 +435,22 @@ _RELIABLE = 1e-2
 _SINGULAR = 1e-12
 
 
-def _pair_sums(a, axis, out=None):
-    """Sums over the index pairs (0, 1), (2, 3), ... along ``axis``; an odd
-    last index stays alone."""
+def _pair_sum_calls(a, axis, out) -> list:
+    """``_pair_sums(a, axis)`` into ``out``, as calls on views for ``_run``."""
     n = a.shape[axis]
     pre = (slice(None),) * axis
-    if out is None:
-        out = np.empty(a.shape[:axis] + ((n + 1) // 2,) + a.shape[axis + 1:])
-    np.add(a[pre + (slice(0, n - 1, 2),)], a[pre + (slice(1, n, 2),)],
-           out=out[pre + (slice(0, n // 2),)])
+    calls = [(np.add, (a[pre + (slice(0, n - 1, 2),)], a[pre + (slice(1, n, 2),)],
+                       out[pre + (slice(0, n // 2),)]))]
     if n % 2:
-        out[pre + (-1,)] = a[pre + (-1,)]
+        calls.append((np.copyto, (out[pre + (-1,)], a[pre + (-1,)])))
+    return calls
+
+
+def _pair_sums(a, axis):
+    """Sums over the index pairs (0, 1), (2, 3), ... along ``axis``; an odd
+    last index stays alone."""
+    out = np.empty(a.shape[:axis] + ((a.shape[axis] + 1) // 2,) + a.shape[axis + 1:])
+    _run(_pair_sum_calls(a, axis, out))
     return out
 
 
@@ -463,9 +459,10 @@ def _aggregate(a):
     return _pair_sums(_pair_sums(a, 0), 1)
 
 
-def _spread_add(coarse, fine):
-    """Add to every cell of ``fine`` the value of its in-layer aggregate in
-    ``coarse`` (the transpose of summing ``_pair_sums`` over x, then y)."""
+def _spread_calls(coarse, fine) -> list:
+    """Calls for ``_run`` that add to every cell of ``fine`` the value of its
+    in-layer aggregate in ``coarse`` (the transpose of summing
+    ``_pair_sums`` over x, then y)."""
     ex, ey = fine.shape[0] // 2, fine.shape[1] // 2
     n_z = fine.shape[2]
     # splitting an axis of a basic slice gives a view, so the adds land in fine
@@ -479,8 +476,7 @@ def _spread_add(coarse, fine):
                       coarse[:ex, None, -1]))
         if fine.shape[0] % 2:
             parts.append((fine[-1, -1], coarse[-1, -1]))
-    for view, value in parts:
-        np.add(view, value, out=view)
+    return [(np.add, (view, value, view)) for view, value in parts]
 
 
 class _Operator(NamedTuple):
@@ -493,23 +489,29 @@ class _Operator(NamedTuple):
 
 
 class _Level:
-    """One level of the V-cycle in float32: the float64 ``operator``'s
-    conductances and window coupling times ``scale`` (a power of two),
-    applied by ``_flux_apply``, the damped Jacobi weights of its diagonal
-    and its own work buffers."""
+    """One level of the V-cycle in float32 on a lattice of ``shape``: a
+    float64 operator's conductances and window coupling times a power of
+    two, applied by ``_flux_apply``, the damped Jacobi weights of its
+    diagonal and its own work buffers."""
 
-    def __init__(self, operator, scale):
-        # scaled before the cast, so that no conductance leaves float32's range
-        self.stencil = _stencil([facets * scale for *_, facets in operator.stencil],
-                                np.float32)
-        diag = (operator.diag * scale).astype(np.float32)
-        with np.errstate(divide="ignore"):
-            self.smooth = np.where(diag > 0, _SMOOTHING / diag, 0.0)
-        del diag    # freed before the buffers, where a solve's memory peaks
-        self.window = (operator.window * scale).astype(np.float32)
-        shape = self.window.shape
+    def __init__(self, shape):
+        self.stencil = _views(np.zeros((3,) + shape, np.float32))
+        self.smooth, self.window, self.res, self.rhs, self.x = (
+            np.empty(shape, np.float32) for _ in range(5))
         self.half = np.empty(((shape[0] + 1) // 2,) + shape[1:], np.float32)
-        self.res, self.rhs, self.x = (np.empty_like(self.window) for _ in range(3))
+
+    def load(self, operator, scale):
+        """Write the float64 ``operator`` times ``scale`` into the level, in
+        place; scaled before the cast, so no conductance leaves float32's
+        range.  ``res`` holds the diagonal meanwhile."""
+        # the blocks under the views, with their zeros off the lattice
+        np.multiply(operator.stencil[0][1].base, scale, out=self.stencil[0][1].base)
+        diag = np.multiply(operator.diag, scale, out=self.res)
+        with np.errstate(divide="ignore"):
+            np.divide(_SMOOTHING, diag, out=self.smooth)
+        np.copyto(self.smooth, 0.0, where=diag <= 0)
+        np.multiply(operator.window, scale, out=self.window)
+        return self
 
 
 def _coarsen(g):
@@ -545,16 +547,20 @@ def _block_inverse(block, diag):
     above ``_SINGULAR``.
     """
     rows = np.flatnonzero(np.diag(block) > 0)
-    s = 1.0 / np.sqrt(diag[rows])
-    scaled = block[np.ix_(rows, rows)] * s[:, None] * s
+    every = rows.size == len(block)    # then no gather and no scatter
+    s = 1.0 / np.sqrt(diag if every else diag[rows])
+    scaled = (block if every else block[np.ix_(rows, rows)]) * s[:, None] * s
     try:
         regular = np.all(np.diag(np.linalg.cholesky(scaled)) ** 2 > _SINGULAR)
     except np.linalg.LinAlgError:
         regular = False
     inverse = np.linalg.inv(scaled) if regular \
         else np.linalg.pinv(scaled, _SINGULAR, hermitian=True)
+    inverse = inverse * s[:, None] * s
+    if every:
+        return inverse
     out = np.zeros_like(block)
-    out[np.ix_(rows, rows)] = inverse * s[:, None] * s
+    out[np.ix_(rows, rows)] = inverse
     return out
 
 
@@ -600,10 +606,11 @@ def _bottom_inverse(level):
 
 
 class Hierarchy:
-    """CG's preconditioner for a sequence of pressure solves on one lattice:
-    a symmetric V(1,1) multigrid cycle over in-layer aggregates.  The caller
-    holds it and passes it to each solve (``solve_pressures(...,
-    hierarchy=)``), which refreshes it for its own system and calls it.
+    """The pressure system of a sequence of solves on one lattice and CG's
+    preconditioner for it, a symmetric V(1,1) multigrid cycle over in-layer
+    aggregates.  The caller holds it and passes it to each solve
+    (``solve_pressures(..., hierarchy=)``), which rewrites it for its own
+    system and calls it; a solve without one makes its own the same way.
 
     Level 0 is the pressure system.  Each coarser level joins 2x2 cells (or
     aggregates) of one layer, never two layers; an odd last row or column
@@ -618,25 +625,26 @@ class Hierarchy:
 
     Every level's operator has all-zero rows and columns on the cells or
     aggregates without an equation, so prolongation and restriction need no
-    masks: values there never reach an active one, and the coarse operators
-    are the Galerkin products of the plain aggregate sums.  They are sums of
-    non-negative terms only (a conductance sums the fine ones between two
-    aggregates, over facets with both cells active; a window coupling sums
-    its cells'; a diagonal is its row's conductances plus its window
-    coupling), so every level keeps the flux form, and an aggregate of
-    isolated or floating cells has an exactly zero row, and a zero row and
-    column in the bottom inverse.  The coarse corrections spread values
-    onto the cells without an equation; the finest ``x`` is multiplied in
-    place by the active mask on its way out, so it, and with it every CG
-    search direction, is exactly zero there.
+    masks, and the coarse operators are the Galerkin products of the plain
+    aggregate sums.  They are sums of non-negative terms only, so every
+    level keeps the flux form, and an aggregate of isolated or floating
+    cells has an exactly zero row, and a zero row and column in the bottom
+    inverse.  The finest ``x`` is multiplied in place by the active mask on
+    its way out, so it, and every CG search direction, is exactly zero
+    where the coarse corrections spread values onto cells without an
+    equation.
 
-    Reuse: a solve's finest level is always its own operator.  The levels
-    under it and the bottom inverse are built by one solve and reused by the
-    next ones while the active cells stay the same, at most
-    ``_REUSE_LIMIT`` times; then, or when the active cells change, they are
-    built again.  That suits a slowly changing sequence of systems, as the
-    deposit shrinking every aperture a little per step: a stale coarse
-    level costs CG iterations only, as the cycle stays symmetric positive.
+    Reuse: every solve rewrites, in place and from its own conductances and
+    start, the float64 stencil, window coupling and inflow (``rewrite``)
+    and the float32 finest level (``refresh``).  The topology's parts are
+    built again only when the conducting facets change (the peel, the
+    active cells), or the window cells or the lattice (the facets cut from
+    the stencil and the cells with a window term).  The coarse levels and
+    the bottom inverse are reused while the active cells stay the same, at
+    most ``_REUSE_LIMIT`` times: a stale level costs CG iterations only, as
+    the cycle stays symmetric positive, and the deposit changes every
+    aperture a little per step.  The cycle and CG's product are lists of
+    numpy calls on views made once per build (``_run``).
 
     Precision: a build runs in float64, as the bottom inverse's
     ``_SINGULAR`` pivot test needs, and casts the coarse levels and the
@@ -653,80 +661,172 @@ class Hierarchy:
     ``rhs``; the scaled cycle B' = B / scale then gives B' (scale r) = B r,
     in the units of the pressure.
 
-    Memory: between solves only the coarse levels, the bottom inverse and
-    the bool mask of the active cells are kept.  Each solve makes the
-    float32 finest level (three stencil arrays and their scratch, the
-    window coupling, the Jacobi weights, three work buffers and a
-    half-lattice one: nine and a half lattice-sized float32 arrays) and
-    drops it when it ends; CG's search direction and correction add two
-    more.
+    Memory: one set of lattice-sized arrays: seven in float64 (the stencil,
+    its scratch, window coupling, inflow and residual), eleven and a half in
+    float32 (the finest level's stencil, scratch, window coupling, Jacobi
+    weights and work buffers, and CG's search direction and correction) and
+    two bool masks of the active cells; the coarse levels add about a third
+    of the finest.  A solve's pressures and conductances are its own.
     """
 
     def __init__(self):
-        self.active = None            # the active cells the coarse levels were built on
-        self.scale = None             # the power of two the float32 levels carry
-        self.finest = None            # float32 level 0, during a solve only
-        self.coarse = []              # float32 levels 1 and up
-        self.bottom_inverse = None    # float32, of the scaled bottom operator
-        self.reuses = 0               # solves served since the build
+        # the system (``rewrite``): lattice shape, window masks, packed
+        # conducting facets, stencil block and views, rounds of window terms
+        # and cut facets, dead ends, active cells, and float64 lattices
+        self.shape = self.layout = self.conducting = self.facets = self.stencil = None
+        self.coupling, self.cut, self.peeled, self.active = [], None, None, None
+        self.window = self.inflow = self.work = None
+        # the cycle (``refresh``): scale, levels and the active cells the
+        # coarse ones were built on, solves served since, the cycle's calls;
+        # and CG's vectors and product A d, made by CG with each finest level
+        self.scale, self.finest, self.coarse, self.bottom_inverse = None, None, [], None
+        self.levels_active, self.reuses, self.calls = None, 0, None
+        self.d = self.e = self.product = None
+
+    def rewrite(self, grid, g, p):
+        """Write the float64 system of ``grid``, of facet conductances ``g``
+        and window cells at their values in ``p``: the stencil, cut off the
+        cells without an equation (window cells, dead ends and isolated
+        cells), and each cell's window coupling and inflow; return the
+        diagonal, zero off the active cells."""
+        shape = p.shape
+        layout = (shape, grid.inlet_mask.tobytes(), grid.outlet_mask.tobytes())
+        if shape != self.shape:
+            self.shape, self.facets, self.work = shape, np.zeros((3,) + shape), np.empty(shape)
+            self.stencil = _views(self.facets)
+        for (*_, facets), ga in zip(self.stencil, g):
+            facets[...] = ga
+        conducting = tuple(np.packbits(ga > 0).tobytes() for ga in g)
+        rebuild = (layout, conducting) != (self.layout, self.conducting)
+        if rebuild:
+            fixed = np.zeros(shape, dtype=bool)
+            fixed[:, :, 0] |= grid.inlet_mask
+            fixed[:, :, -1] |= grid.outlet_mask
+            if layout != self.layout:
+                # zero on every cell that no term writes
+                self.window, self.inflow = np.zeros(shape), np.zeros(shape)
+                self._couple(fixed)
+            # with two or more cells a side and every side facet conducting,
+            # every cell has two linked in-layer neighbours: no dead end
+            slab = shape[0] >= 2 and shape[1] >= 2 and g[0].all() and g[1].all()
+            self.peeled = None if slab else _peel(g, fixed)
+        if self.peeled is not None:
+            _cut(self.stencil, self.peeled[0] == 0)
+        den = _degree(self.stencil, np.empty(shape))
+        if rebuild:
+            self.active, self.layout, self.conducting = ~fixed & (den > 0), layout, conducting
+        # each active cell's flow in from the window cells, at their pinned
+        # pressures and at unit pressure: the net outflow of minus those
+        # values, summed from +0.0, which any term that is a zero leaves as
+        # it is; a term g (0.0 - -p) or -(-p - 0.0) g adds p g
+        flat_g, flat_p = self.facets.reshape(-1), p.reshape(-1)
+        flat_window, flat_inflow = self.window.reshape(-1), self.inflow.reshape(-1)
+        for k, (at, facet, pin) in enumerate(self.coupling):
+            if not k:    # every cell with a term has one in the first round
+                flat_window[at] = flat_inflow[at] = 0.0
+            g_at = flat_g[facet]
+            flat_window[at] += g_at
+            flat_inflow[at] += flat_p[pin] * g_at
+        flat_g[self.cut] = 0.0
+        den *= self.active
+        return den
+
+    def _couple(self, fixed):
+        """The facets that touch a window cell (``cut``), and the terms of
+        the other cells' flows from the window cells in ``_flux_apply``'s
+        order, in rounds of one term per cell: per round its cells, facets
+        (flat indices into ``facets``) and window cells.  A facet that
+        does not conduct, or that a step around the flat lattice's edge
+        lands on, is zero, and so is its term."""
+        windows, size = np.flatnonzero(fixed)[:, None], fixed.size
+        cells, kind = windows - _steps(self.shape), np.arange(6)    # in _BITS order
+        # a term's facet by its lower cell, in the block of its axis
+        facets = np.where(kind % 2, windows, cells) + kind // 2 * size
+        on = (cells >= 0) & (cells < size)
+        self.cut = np.unique(facets[on])
+        on[on] = ~fixed.reshape(-1)[cells[on]]
+        order = np.argsort((cells * 6 + kind)[on])
+        cell, facet, window = (a[on][order] for a in np.broadcast_arrays(cells, facets, windows))
+        rank = np.arange(cell.size) - np.searchsorted(cell, cell)
+        self.coupling = [(cell[rank == k], facet[rank == k], window[rank == k])
+                         for k in range(rank.max(initial=-1) + 1)]
+
+    def residual_of(self, x, out):
+        """The float64 residual vector of ``x`` into ``out``, and its norm;
+        the zero rows and columns off the active cells cancel ``x`` there."""
+        r = np.subtract(self.inflow, _flux_apply(x, self.stencil, self.window, out), out=out)
+        return r, _max_abs(r)
 
     def refresh(self, stencil, den, window):
         """Make the cycle for a solve's finest operator: ``stencil`` and
         ``den`` in float64, zero off the active cells (``den > 0``), and
-        ``window``; the coarse levels are kept if they may serve it."""
+        ``window``; the coarse levels are kept if they may serve it, the
+        finest level's arrays if its lattice is the same."""
         finest = _Operator(stencil, den, window)
         active = den > 0
         if self.coarse and self.reuses < _REUSE_LIMIT \
-                and np.array_equal(active, self.active):
+                and np.array_equal(active, self.levels_active):
             self.reuses += 1
         else:
             coarse = _coarse_levels(finest)
             # with no coarse level, finest is the bottom and nothing is kept
             inverse = _bottom_inverse((coarse or [finest])[-1])
             self.scale = 2.0 ** -math.frexp(float(den.max()))[1]
-            self.coarse = [_Level(level, self.scale) for level in coarse]
+            self.coarse = [_Level(level.diag.shape).load(level, self.scale) for level in coarse]
             # the inverse of the scaled operator
             self.bottom_inverse = (inverse / self.scale).astype(np.float32)
-            self.active, self.reuses = active, 0
+            self.levels_active, self.reuses, self.calls = active, 0, None
             del coarse, inverse    # the float64 build: freed before the finest level
-        self.finest = _Level(finest, self.scale)
+        if self.finest is None or self.finest.x.shape != den.shape:
+            self.finest, self.calls, self.d = _Level(den.shape), None, None
+        self.finest.load(finest, self.scale)
+        if self.calls is None:
+            self.calls = self._cycle_calls()
+
+    def _cycle_calls(self) -> list:
+        """The V-cycle as calls on views of the levels, for ``_run``."""
+        levels, calls = [self.finest, *self.coarse], []
+        for fine, coarse in zip(levels, levels[1:]):
+            # pre-smoothing from zero, then restrict the residual
+            calls += [(np.multiply, (fine.smooth, fine.rhs, fine.x)),
+                      *_flux_calls(fine.x, fine.stencil, fine.window, fine.res),
+                      (np.subtract, (fine.rhs, fine.res, fine.res)),
+                      *_pair_sum_calls(fine.res, 0, fine.half),
+                      *_pair_sum_calls(fine.half, 1, coarse.rhs)]
+        bottom = levels[-1]
+        calls.append((np.dot, (self.bottom_inverse, bottom.rhs.reshape(-1),
+                               bottom.x.reshape(-1))))
+        for fine, coarse in zip(levels[-2::-1], levels[:0:-1]):
+            # coarse correction, then post-smoothing
+            calls += [*_spread_calls(coarse.x, fine.x),
+                      *_flux_calls(fine.x, fine.stencil, fine.window, fine.res),
+                      (np.subtract, (fine.rhs, fine.res, fine.res)),
+                      (np.multiply, (fine.res, fine.smooth, fine.res)),
+                      (np.add, (fine.x, fine.res, fine.x))]
+        # zero where the coarse corrections spread onto cells without an equation
+        return calls + [(np.multiply, (self.finest.x, self.levels_active, self.finest.x))]
 
     def __call__(self):
         """The preconditioned finest ``rhs``, written into the finest ``x``
         and returned; ``rhs`` must vanish off the active cells, and ``x``
         is zero there."""
-        levels = [self.finest, *self.coarse]
-        for fine, coarse in zip(levels, levels[1:]):
-            # pre-smoothing from zero, then restrict the residual
-            np.multiply(fine.smooth, fine.rhs, out=fine.x)
-            _flux_apply(fine.x, fine.stencil, fine.window, fine.res)
-            np.subtract(fine.rhs, fine.res, out=fine.res)
-            _pair_sums(_pair_sums(fine.res, 0, out=fine.half), 1, out=coarse.rhs)
-        bottom = levels[-1]
-        np.dot(self.bottom_inverse, bottom.rhs.reshape(-1), out=bottom.x.reshape(-1))
-        for fine, coarse in zip(levels[-2::-1], levels[:0:-1]):
-            # coarse correction, then post-smoothing
-            _spread_add(coarse.x, fine.x)
-            _flux_apply(fine.x, fine.stencil, fine.window, fine.res)
-            np.subtract(fine.rhs, fine.res, out=fine.res)
-            fine.res *= fine.smooth
-            fine.x += fine.res
-        # zero where the coarse corrections spread onto cells without an equation
-        return np.multiply(self.finest.x, self.active, out=self.finest.x)
+        _run(self.calls)
+        return self.finest.x
 
 
-def _solve_cg(p, r, residual, g, cycle, residual_of, tol, max_iter):
+def _solve_cg(p, r, residual, g, cycle, tol, max_iter):
     """Conjugate gradient on the pressure system from ``p``, whose float64
     residual vector is ``r`` and its norm ``residual``, preconditioned by
-    the refreshed multigrid V-cycle ``cycle`` (a ``Hierarchy``).
+    the refreshed multigrid V-cycle ``cycle`` (a ``Hierarchy``), in its
+    buffers.
 
     CG runs in float32 on the system times the cycle's ``scale``, with
     the finest level's operator and its ``rhs`` as the residual.  Reliable
     updates keep float64 accuracy: once the float32 residual's max norm
     falls under ``_RELIABLE`` times its value at the last update, or under
     the scaled ``tol``, the float32 correction is added to ``p`` in place
-    and the residual recomputed from it in float64 (``residual_of``, into
-    ``r``), keeping the search direction.  The solve returns when that
+    and the residual recomputed from it in float64 (``cycle.residual_of``,
+    into ``r``), keeping the search direction.  The solve returns when that
     residual, the per-cell net flow the Gauss-Seidel reference bounds too,
     is within ``tol``.  The correction is zero off the active cells, so
     those keep their values, which must be finite (a -0.0 may come back as
@@ -738,12 +838,17 @@ def _solve_cg(p, r, residual, g, cycle, residual_of, tol, max_iter):
     # once the residual is updated; the float64 r takes the reliable updates
     exact, r, q = r, np.multiply(r, scale, out=finest.rhs), finest.res
     bound = residual * scale    # the residual norm at the last update
-    e = np.zeros_like(r)        # the correction since the last update
-    d = cycle().copy()
-    rho = float(np.dot(r.ravel(), d.ravel()))
+    if cycle.d is None:    # with a new finest level; made once den is freed, for the peak
+        cycle.d, cycle.e = np.empty_like(r), np.empty_like(r)
+        cycle.product = _flux_calls(cycle.d, finest.stencil, finest.window, q)
+    d, e = cycle.d, cycle.e     # e: the correction since the last update
+    e.fill(0.0)
+    np.copyto(d, cycle())
+    flat_d, flat_q, flat_r = d.reshape(-1), q.reshape(-1), r.reshape(-1)
+    rho = float(np.dot(flat_r, flat_d))
     for it in range(1, max_iter + 1):
-        _flux_apply(d, finest.stencil, finest.window, q)
-        dq = float(np.dot(d.ravel(), q.ravel()))
+        _run(cycle.product)    # q = A d
+        dq = float(np.dot(flat_d, flat_q))
         if not dq > 0:
             raise ConvergenceError(
                 f"pressure conjugate gradient broke down at iteration {it}: curvature "
@@ -757,13 +862,13 @@ def _solve_cg(p, r, residual, g, cycle, residual_of, tol, max_iter):
         if norm < _RELIABLE * bound or norm <= tol * scale:
             p += e
             e.fill(0.0)
-            exact, residual = residual_of(p, exact)
+            exact, residual = cycle.residual_of(p, exact)
             if residual <= tol:
                 return PressureField(p, residual, it, g)
             np.multiply(exact, scale, out=r)
             bound = residual * scale
         z = cycle()
-        rho_new = float(np.dot(r.ravel(), z.ravel()))
+        rho_new = float(np.dot(flat_r, z.reshape(-1)))
         d *= rho_new / rho
         d += z
         rho = rho_new
@@ -772,23 +877,23 @@ def _solve_cg(p, r, residual, g, cycle, residual_of, tol, max_iter):
         f"after {max_iter} iterations")
 
 
-def _solve_lexicographic(p, residual, g, stencil, den, inflow, active, residual_of, tol,
-                         max_iter):
+def _solve_lexicographic(p, residual, g, system, den, tol, max_iter):
     """Gauss-Seidel in index order from ``p``, of residual ``residual``, on the
-    restricted system: each active cell takes its ``inflow`` plus its
-    conductance-weighted neighbour pressures, over ``den``; small grids."""
-    flat_p, flat_den, flat_in = p.reshape(-1), den.reshape(-1), inflow.reshape(-1)
+    restricted system of the rewritten ``system`` (a ``Hierarchy``): each
+    active cell takes its inflow plus its conductance-weighted neighbour
+    pressures, over ``den``; small grids."""
+    flat_p, flat_den, flat_in = p.reshape(-1), den.reshape(-1), system.inflow.reshape(-1)
     work = np.empty_like(p)
     for it in range(1, max_iter + 1):
-        for c in np.flatnonzero(active):
+        for c in np.flatnonzero(system.active):
             acc = flat_in[c]
-            for stride, up, _, _ in stencil:    # lower, then upper neighbour per axis
+            for stride, up, _, _ in system.stencil:    # lower, then upper neighbour per axis
                 if c >= stride:
                     acc += up[c - stride] * flat_p[c - stride]
                 if c < up.size:
                     acc += up[c] * flat_p[c + stride]
             flat_p[c] = acc / flat_den[c]
-        _, residual = residual_of(p, work)
+        _, residual = system.residual_of(p, work)
         if residual <= tol:
             return PressureField(p, residual, it, g)
     raise ConvergenceError(

@@ -13,6 +13,7 @@ from clogsim.engine import (LayerStats, SimulationTrace, initialize,
 from clogsim.hydraulics import (DegenerateNetworkError, flows_from_pressures, solve_pressures,
                                 total_flow)
 from clogsim.model import _FACET_FAMILIES, ApertureState, FilterConfig
+from clogsim.sediment import axial_depletion, solve_slow_layer, wall_concentration_slow
 
 from conftest import CHANNEL_RADIUS, DATA_DIR  # noqa: F401  (fixture module import)
 
@@ -396,7 +397,7 @@ class TestHierarchy:
             step(state)
         assert len(calls) == 6 and all(h is state.hierarchy for h in calls)
         assert state.hierarchy.coarse and state.hierarchy.reuses > 0
-        assert state.hierarchy.finest is None
+        assert state.hierarchy.finest is not None    # kept for the next step
 
     def test_time_limit_solve_shares_the_hierarchy(self, monkeypatch):
         calls = []
@@ -477,6 +478,34 @@ class TestDepletionFlag:
         loose = dataclasses.replace(strict, depletion_threshold=0.999)
         trace = run(loose)
         assert not trace.snapshots[0].depletion_warning
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bounds_give_the_flag_of_the_slow_layer_solve(self, calcium, order, monkeypatch):
+        # the bounds on the wall concentration decide only where the full
+        # solve agrees, at thresholds far from and next to its ratio, and
+        # they leave the solve to the near ones alone
+        chem = dataclasses.replace(calcium, reaction_order=order)
+        state = initialize(make_config(chemistry=chem, c0_entrance=4.428044676470588e21))
+        cfg = state.config
+        cavity, c0 = (cfg.h_x + cfg.h_y + cfg.h_z) / 3.0, cfg.c0_entrance
+        # how far apart the bounds on the ratio lie
+        band = 2.0 * (c0 / wall_concentration_slow(chem, cavity, c0)) ** order
+        solves = []
+        monkeypatch.setattr(engine, "solve_slow_layer",
+                            lambda *args: solves.append(args) or solve_slow_layer(*args))
+        for speed in [0.0, *np.geomspace(1e-9, 1e2, 45)]:
+            c1 = solve_slow_layer(chem, cavity, c0, speed).wall_concentration
+            ratio = axial_depletion(chem, cavity, c0, c1, speed, cfg.L_z).delta_c0 / c0
+            near = [ratio * f for f in (1 - 1e-12, 1.0, 1 + 1e-12)] if speed else []
+            for threshold in (ratio / band, ratio * band, *near):
+                state.config = dataclasses.replace(cfg, depletion_threshold=threshold)
+                want = not axial_depletion(chem, cavity, c0, c1, speed, cfg.L_z,
+                                           threshold=threshold).negligible
+                before = len(solves)
+                assert engine._depletion_warning(state, [(None, None, np.array([speed]))]) \
+                    == want
+                assert len(solves) - before == (threshold in near or not speed)
+
 
 
 class TestPinnedTraces:

@@ -13,7 +13,7 @@ from clogsim import hydraulics
 from clogsim.hydraulics import (_BOTTOM_SIZE, _REUSE_LIMIT, _SIDES, ConvergenceError,
                                 DegenerateNetworkError, FlowField, Hierarchy, PressureField,
                                 _bottom_inverse, _coarse_levels, _cut, _degree,
-                                _flux_apply, _Operator, _spread_add, _stencil,
+                                _flux_apply, _Operator, _run, _spread_calls, _stencil,
                                 check_connected, conductance_arrays, flows_from_pressures,
                                 outlet_flow, reference_cell_flow, solve_pressures,
                                 total_flow)
@@ -879,6 +879,32 @@ def shrink_radii(grid, rng, low, high) -> None:
         radius *= rng.uniform(low, high, radius.shape)
 
 
+def hierarchy_buffers(hierarchy) -> dict[str, np.ndarray]:
+    """The lattice-sized arrays a hierarchy keeps between solves, by name."""
+    finest = hierarchy.finest
+    return {"facets": hierarchy.facets, "scratch": hierarchy.stencil[0][2].base,
+            "window": hierarchy.window, "inflow": hierarchy.inflow, "work": hierarchy.work,
+            "finest.facets": finest.stencil[0][1].base, "finest.scratch": finest.stencil[0][2].base,
+            **{f"finest.{name}": getattr(finest, name)
+               for name in ("smooth", "window", "res", "rhs", "x", "half")},
+            "d": hierarchy.d, "e": hierarchy.e}
+
+
+def system_state(hierarchy) -> dict[str, bytes]:
+    """The bytes of a hierarchy's last system: its float64 stencil, active
+    cells, window coupling, inflow and peel, and its float32 finest level's
+    conductances, window coupling and Jacobi weights without the scale (a
+    power of two, so exactly)."""
+    finest, scale = hierarchy.finest, hierarchy.scale
+    peeled = hierarchy.peeled or ()
+    return {"facets": hierarchy.facets.tobytes(), "active": hierarchy.active.tobytes(),
+            "window": hierarchy.window.tobytes(), "inflow": hierarchy.inflow.tobytes(),
+            "peeled": b"".join(a.tobytes() for a in peeled),
+            "finest.facets": (finest.stencil[0][1].base / scale).tobytes(),
+            "finest.window": (finest.window / scale).tobytes(),
+            "finest.smooth": (finest.smooth * scale).tobytes()}
+
+
 SHAPES = [(4, 4, 4), (5, 5, 5), (6, 6, 6), (7, 5, 6), (8, 8, 8)]
 
 # captured while the operator products had a diagonal form beside the flux
@@ -952,7 +978,7 @@ class TestMultigrid:
             np.multiply(r, precondition.scale, out=finest.rhs)
             assert precondition() is finest.x
             spread = np.zeros(shape, np.float32)
-            _spread_add(coarse.x, spread)
+            _run(_spread_calls(coarse.x, spread))
             assert np.any(spread[~active] != 0.0)
             assert np.all(finest.x[~active] == 0.0)
             assert np.all(np.isfinite(finest.x))
@@ -1165,23 +1191,79 @@ class TestHierarchyReuse:
         assert hierarchy.coarse is not kept and hierarchy.reuses == 0
         assert not np.array_equal(hierarchy.active, active)
 
-    def test_held_hierarchy_keeps_only_its_coarse_levels(self):
-        # no lattice-sized float32 level outlives a solve, converged or not
+    def test_held_hierarchy_keeps_one_set_of_buffers(self):
+        # every solve rewrites the same lattice-sized arrays, converged or
+        # not, and a solve without a held hierarchy keeps nothing
+        rng = np.random.default_rng(29)
         grid = guess_grid(n=8)
-        cells = grid.n_x * grid.n_y * grid.n_z
         hierarchy = Hierarchy()
         field = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
         assert field.iterations > 1
-        assert hierarchy.finest is None and hierarchy.coarse
-        assert all(level.window.size < cells for level in hierarchy.coarse)
-        kept = hierarchy.coarse
+        kept, coarse = hierarchy_buffers(hierarchy), hierarchy.coarse
+        assert len({a.__array_interface__["data"][0] for a in kept.values()}) == len(kept)
+        cells = grid.n_x * grid.n_y * grid.n_z
+        assert sum(a.nbytes for a in kept.values()) == (7 * 8 + 11 * 4) * cells \
+            + hierarchy.finest.half.nbytes
+        assert all(level.window.size < cells for level in coarse)
         with pytest.raises(ConvergenceError, match="after 1 iterations"):
             solve_pressures(grid, 0.0, -2.0, max_iter=1, hierarchy=hierarchy)
-        assert hierarchy.finest is None
-        assert hierarchy.coarse is kept and hierarchy.reuses == 1
+        assert hierarchy.coarse is coarse and hierarchy.reuses == 1
         again = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
         assert again.pressure.tobytes() == field.pressure.tobytes()
-        assert hierarchy.finest is None and hierarchy.reuses == 2
+        shrink_radii(grid, rng, 0.9, 0.99)
+        solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        assert hierarchy.reuses == 3
+        assert all(a is kept[name] for name, a in hierarchy_buffers(hierarchy).items())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            field = solve_pressures(grid, 0.0, -2.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        owned = field.pressure.nbytes + sum(g.nbytes for g in field.conductances)
+        assert owned <= held <= owned + 4096
+
+    @pytest.mark.parametrize("shape", [(8, 8, 6), (7, 7, 7)])
+    def test_kept_system_equals_a_fresh_build(self, shape):
+        # the system rewritten in place matches one built anew, bit for bit,
+        # after each kind of change between solves; its coarse levels may
+        # be older, and its finest level carries their scale
+        rng = np.random.default_rng(sum(shape))
+        held = Hierarchy()
+
+        def check(grid):
+            solve_pressures(grid, 0.0, -2.0, hierarchy=held)
+            fresh = Hierarchy()
+            solve_pressures(grid, 0.0, -2.0, hierarchy=fresh)
+            assert system_state(held) == system_state(fresh)
+
+        grid = random_connected_grid(rng, 0.1, 0.05, dataclasses.replace(
+            lattice_config(shape), aperture_multiplicity=3))
+        check(grid)
+        shrink_radii(grid, rng, 0.9, 0.99)     # radii only
+        check(grid)
+        open_ = np.argwhere(grid.x_state == ApertureState.OPEN)
+        grid.x_state[tuple(open_[len(open_) // 2])] = ApertureState.SEDIMENT_SEALED
+        check(grid)
+        open_ = np.argwhere(grid.z_open_count == 3)
+        grid.z_open_count[tuple(open_[len(open_) // 2])] = 2    # a capture, still open
+        check(grid)
+        with pytest.raises(ConvergenceError):
+            solve_pressures(grid, 0.0, -2.0, max_iter=1, hierarchy=held)
+        shrink_radii(grid, rng, 0.9, 0.99)
+        check(grid)
+        # dead ends to peel, behind an irregular inlet window
+        peeled = dead_end_grid(rng, shape[0] - 1)
+        for _ in range(50):
+            peeled.inlet_mask[...] = rng.random(peeled.inlet_mask.shape) < 0.5
+            if bfs_connected(peeled):
+                break
+        else:
+            raise AssertionError("could not draw a connected inlet mask")
+        check(peeled)
+        assert held.peeled is not None
+        check(grid)
 
     def test_solve_without_hierarchy_builds_its_own(self, monkeypatch):
         builds = []
@@ -1249,6 +1331,30 @@ class TestConductancesOncePerSolve:
         assert np.count_nonzero(after.flow_x) > 0
         for got, want in zip((after.flow_x, after.flow_y, after.flow_z),
                              (before.flow_x, before.flow_y, before.flow_z)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_field_outlives_the_next_solve_of_its_hierarchy(self):
+        # a field owns its pressures and conductances: the held hierarchy's
+        # next solve, on a changed grid, rewrites none of them
+        rng = np.random.default_rng(13)
+        grid = guess_grid(n=6)
+        hierarchy = Hierarchy()
+        field = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+        arrays = [field.pressure, *field.conductances]
+        before = [a.tobytes() for a in arrays]
+        flows = flows_from_pressures(grid, field)
+        shrink_radii(grid, rng, 0.5, 0.9)
+        open_ = np.argwhere(grid.y_state == ApertureState.OPEN)
+        grid.y_state[tuple(open_[0])] = ApertureState.SEDIMENT_SEALED
+        later = solve_pressures(grid, 0.0, -2.0, initial=field.pressure, hierarchy=hierarchy)
+        assert later.iterations > 0
+        assert [a.tobytes() for a in arrays] == before
+        for kept in (*hierarchy_buffers(hierarchy).values(), *later.conductances,
+                     later.pressure):
+            assert not any(np.shares_memory(a, kept) for a in arrays)
+        again = flows_from_pressures(grid, field)
+        for got, want in zip((again.flow_x, again.flow_y, again.flow_z),
+                             (flows.flow_x, flows.flow_y, flows.flow_z)):
             assert got.tobytes() == want.tobytes()
 
 
