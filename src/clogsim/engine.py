@@ -27,7 +27,7 @@ from the grid only at the start of a step that follows a topology change
 (``topology_dirty``: a facet blocked or sealed), and a family whose open
 facets did not change keeps its table; in between, captures update the
 sub-aperture counts in place.  A caller that edits the grid between steps
-sets ``topology_dirty``, as it must for the connectivity check anyway.
+sets ``topology_dirty``; the flag triggers only this rebuild.
 """
 
 from __future__ import annotations
@@ -423,8 +423,7 @@ def _deposit(state: SimulationState, kinetics, dt: float, blocked: bool) -> None
 
 def _solve(state: SimulationState) -> FlowField:
     """Solve the pressures from the current start and the extrapolated
-    guess, keep the field and the one before it, and return the flows.
-    The connectivity check runs only after a topology change."""
+    guess, keep the field and the one before it, and return the flows."""
     guess = None
     if state.prev_pressures is not None:
         # p_n + (p_n - p_{n-1}) dt_n / dt_{n-1}, built in one array
@@ -434,7 +433,7 @@ def _solve(state: SimulationState) -> FlowField:
     field_ = solve_pressures(
         state.grid, 0.0, state.p_out, tol=state.solver_tol,
         max_iter=state.config.solver_max_iter, initial=state.pressures, guess=guess,
-        check_connectivity=state.topology_dirty, hierarchy=state.hierarchy)
+        hierarchy=state.hierarchy)
     if state.steps > 0:    # before the first solve, pressures holds the ramp
         # one buffer per run: keeping each step's array a step longer
         # fragments the heap and raised the peak RSS of scenario 1 by 1 MB
@@ -442,7 +441,6 @@ def _solve(state: SimulationState) -> FlowField:
             state.prev_pressures = np.empty_like(state.pressures)
         np.copyto(state.prev_pressures, state.pressures)
     state.pressures = field_.pressure
-    state.topology_dirty = False
     return flows_from_pressures(state.grid, field_)
 
 
@@ -459,6 +457,7 @@ def step(state: SimulationState) -> SimulationState:
 
     if state.topology_dirty:
         _index_open_facets(state)
+        state.topology_dirty = False
     flows = _solve(state)
     total = total_flow(grid, flows)
     if state.clean_flow is None:

@@ -15,7 +15,8 @@ preconditioned by a multigrid V-cycle over in-layer aggregates
 (``Hierarchy``), and a lexicographic Gauss-Seidel loop, the scalar
 reference for small grids.  A ``Hierarchy`` also holds the system: a
 caller that solves a sequence of systems on one lattice keeps one, and
-each solve rewrites it in place.
+each solve rewrites it in place; its docstring states when a solve runs
+the connectivity check (``check_connected``).
 
 Every product with the system, on every multigrid level and in float32
 or float64, takes the network's own flux form (``_flux_apply``): each
@@ -258,11 +259,10 @@ def _views(block):
                  for full, s, (lo, _) in zip(block, strides, _SIDES))
 
 
-def _stencil(g, dtype=np.float64):
-    """``_views`` of a new block of ``dtype`` holding the facet
-    conductances ``g``."""
+def _stencil(g):
+    """``_views`` of a new float64 block holding the facet conductances ``g``."""
     shape = (g[0].shape[0] + 1,) + g[0].shape[1:]
-    stencil = _views(np.zeros((3,) + shape, dtype))
+    stencil = _views(np.zeros((3,) + shape))
     for (*_, facets), ga in zip(stencil, g):
         facets[...] = ga
     return stencil
@@ -334,7 +334,6 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
                     initial: np.ndarray | None = None,
                     guess: np.ndarray | None = None,
                     sweep: str = "cg",
-                    check_connectivity: bool = True,
                     hierarchy: Hierarchy | None = None) -> PressureField:
     """Solve for the cell pressures at which every inner cell conserves flow.
 
@@ -353,8 +352,8 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     "cg" (preconditioned conjugate gradient; the default, and the engine's
     sweep) or "lexicographic" (scalar Gauss-Seidel in index order, the
     reference for small grids).  Both converge to the same field
-    and honour the same residual bound.  ``check_connectivity=False`` skips
-    ``check_connected`` for a caller that knows the topology is unchanged.
+    and honour the same residual bound.  ``p_in`` and ``p_out`` must be
+    finite, and must differ unless ``tol`` is given (ValueError otherwise).
 
     ``hierarchy``, a ``Hierarchy`` held by the caller across a sequence of
     solves on one lattice, keeps the system and CG's preconditioner: the
@@ -374,8 +373,9 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     isolated cell keeps its own.  ``PressureField.conductances`` stays the
     full ``conductance_arrays``.
     """
-    if check_connectivity:
-        check_connected(grid)
+    if not (math.isfinite(p_in) and math.isfinite(p_out)) or (tol is None and p_in == p_out):
+        raise ValueError(f"p_in and p_out must be finite, and differ unless tol is given; "
+                         f"got p_in={p_in!r}, p_out={p_out!r}")
     if tol is None:
         tol = _default_tol(grid, p_in, p_out)
     if not tol > 0:
@@ -383,14 +383,13 @@ def solve_pressures(grid: CellGrid, p_in: float, p_out: float,
     if sweep not in ("cg", "lexicographic"):
         raise ValueError(f"sweep must be 'cg' or 'lexicographic', got {sweep!r}")
 
-    n_x, n_y, n_z = grid.n_x, grid.n_y, grid.n_z
+    shape = (grid.n_x, grid.n_y, grid.n_z)
     g = conductance_arrays(grid)
 
     if initial is not None:
-        p = _start_field(initial, "initial", (n_x, n_y, n_z)).copy()
+        p = _start_field(initial, "initial", shape).copy()
     else:
-        ramp = np.linspace(p_in, p_out, n_z)
-        p = np.broadcast_to(ramp, (n_x, n_y, n_z)).copy()
+        p = np.broadcast_to(np.linspace(p_in, p_out, shape[2]), shape).copy()
 
     p[:, :, 0][grid.inlet_mask] = p_in
     p[:, :, -1][grid.outlet_mask] = p_out
@@ -638,12 +637,16 @@ class Hierarchy:
     start, the float64 stencil, window coupling and inflow (``rewrite``)
     and the float32 finest level (``refresh``).  The topology's parts are
     built again only when the conducting facets change (the peel, the
-    active cells), or the window cells or the lattice (the facets cut from
-    the stencil and the cells with a window term).  The coarse levels and
-    the bottom inverse are reused while the active cells stay the same, at
-    most ``_REUSE_LIMIT`` times: a stale level costs CG iterations only, as
-    the cycle stays symmetric positive, and the deposit changes every
-    aperture a little per step.  The cycle and CG's product are lists of
+    active cells), or the window cells or the lattice (the float64 arrays,
+    the facets cut from the stencil and the cells with a window term).  A
+    rebuild first runs ``check_connected``, before it writes anything kept:
+    so every solve without a held hierarchy checks, and one with it checks
+    on its first solve, after a closure and after a
+    ``DegenerateNetworkError``.  The coarse levels and the bottom inverse
+    are reused while the active cells stay the same, at most
+    ``_REUSE_LIMIT`` times: a stale level costs CG iterations only, as the
+    cycle stays symmetric positive, and the deposit changes every aperture
+    a little per step.  The cycle and CG's product are lists of
     numpy calls on views made once per build (``_run``).
 
     Precision: a build runs in float64, as the bottom inverse's
@@ -670,12 +673,11 @@ class Hierarchy:
     """
 
     def __init__(self):
-        # the system (``rewrite``): lattice shape, window masks, packed
-        # conducting facets, stencil block and views, rounds of window terms
-        # and cut facets, dead ends, active cells, and float64 lattices
-        self.shape = self.layout = self.conducting = self.facets = self.stencil = None
-        self.coupling, self.cut, self.peeled, self.active = [], None, None, None
-        self.window = self.inflow = self.work = None
+        # the system (``rewrite``): lattice shape and window masks, packed
+        # conducting facets, stencil block and views, window terms and cut
+        # facets, dead ends, active cells, and float64 lattices
+        self.layout = self.conducting = self.facets = self.stencil = self.work = None
+        self.coupling = self.cut = self.peeled = self.active = self.window = self.inflow = None
         # the cycle (``refresh``): scale, levels and the active cells the
         # coarse ones were built on, solves served since, the cycle's calls;
         # and CG's vectors and product A d, made by CG with each finest level
@@ -691,18 +693,16 @@ class Hierarchy:
         diagonal, zero off the active cells."""
         shape = p.shape
         layout = (shape, grid.inlet_mask.tobytes(), grid.outlet_mask.tobytes())
-        if shape != self.shape:
-            self.shape, self.facets, self.work = shape, np.zeros((3,) + shape), np.empty(shape)
-            self.stencil = _views(self.facets)
-        for (*_, facets), ga in zip(self.stencil, g):
-            facets[...] = ga
         conducting = tuple(np.packbits(ga > 0).tobytes() for ga in g)
         rebuild = (layout, conducting) != (self.layout, self.conducting)
         if rebuild:
+            check_connected(grid)
             fixed = np.zeros(shape, dtype=bool)
             fixed[:, :, 0] |= grid.inlet_mask
             fixed[:, :, -1] |= grid.outlet_mask
             if layout != self.layout:
+                self.facets, self.work = np.zeros((3,) + shape), np.empty(shape)
+                self.stencil = _views(self.facets)
                 # zero on every cell that no term writes
                 self.window, self.inflow = np.zeros(shape), np.zeros(shape)
                 self._couple(fixed)
@@ -710,6 +710,8 @@ class Hierarchy:
             # every cell has two linked in-layer neighbours: no dead end
             slab = shape[0] >= 2 and shape[1] >= 2 and g[0].all() and g[1].all()
             self.peeled = None if slab else _peel(g, fixed)
+        for (*_, facets), ga in zip(self.stencil, g):
+            facets[...] = ga
         if self.peeled is not None:
             _cut(self.stencil, self.peeled[0] == 0)
         den = _degree(self.stencil, np.empty(shape))
@@ -717,39 +719,35 @@ class Hierarchy:
             self.active, self.layout, self.conducting = ~fixed & (den > 0), layout, conducting
         # each active cell's flow in from the window cells, at their pinned
         # pressures and at unit pressure: the net outflow of minus those
-        # values, summed from +0.0, which any term that is a zero leaves as
-        # it is; a term g (0.0 - -p) or -(-p - 0.0) g adds p g
-        flat_g, flat_p = self.facets.reshape(-1), p.reshape(-1)
+        # values, summed from +0.0 in order (``np.add.at`` is unbuffered),
+        # which any term that is a zero leaves as it is; a term g (0.0 - -p)
+        # or -(-p - 0.0) g adds p g
+        at, facet, pin = self.coupling
         flat_window, flat_inflow = self.window.reshape(-1), self.inflow.reshape(-1)
-        for k, (at, facet, pin) in enumerate(self.coupling):
-            if not k:    # every cell with a term has one in the first round
-                flat_window[at] = flat_inflow[at] = 0.0
-            g_at = flat_g[facet]
-            flat_window[at] += g_at
-            flat_inflow[at] += flat_p[pin] * g_at
-        flat_g[self.cut] = 0.0
+        flat_window[at] = flat_inflow[at] = 0.0
+        g_at = self.facets.reshape(-1)[facet]
+        np.add.at(flat_window, at, g_at)
+        np.add.at(flat_inflow, at, p.reshape(-1)[pin] * g_at)
+        self.facets.reshape(-1)[self.cut] = 0.0
         den *= self.active
         return den
 
     def _couple(self, fixed):
         """The facets that touch a window cell (``cut``), and the terms of
-        the other cells' flows from the window cells in ``_flux_apply``'s
-        order, in rounds of one term per cell: per round its cells, facets
-        (flat indices into ``facets``) and window cells.  A facet that
-        does not conduct, or that a step around the flat lattice's edge
-        lands on, is zero, and so is its term."""
+        the other cells' flows from the window cells, sorted by cell and,
+        within a cell, in ``_flux_apply``'s order: their cells, facets (flat
+        indices into ``facets``) and window cells.  A facet that does not
+        conduct, or that a step around the flat lattice's edge lands on, is
+        zero, and so is its term."""
         windows, size = np.flatnonzero(fixed)[:, None], fixed.size
-        cells, kind = windows - _steps(self.shape), np.arange(6)    # in _BITS order
+        cells, kind = windows - _steps(fixed.shape), np.arange(6)    # in _BITS order
         # a term's facet by its lower cell, in the block of its axis
         facets = np.where(kind % 2, windows, cells) + kind // 2 * size
         on = (cells >= 0) & (cells < size)
         self.cut = np.unique(facets[on])
         on[on] = ~fixed.reshape(-1)[cells[on]]
         order = np.argsort((cells * 6 + kind)[on])
-        cell, facet, window = (a[on][order] for a in np.broadcast_arrays(cells, facets, windows))
-        rank = np.arange(cell.size) - np.searchsorted(cell, cell)
-        self.coupling = [(cell[rank == k], facet[rank == k], window[rank == k])
-                         for k in range(rank.max(initial=-1) + 1)]
+        self.coupling = tuple(a[on][order] for a in np.broadcast_arrays(cells, facets, windows))
 
     def residual_of(self, x, out):
         """The float64 residual vector of ``x`` into ``out``, and its norm;

@@ -226,9 +226,10 @@ class FilterConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
         given = np.asarray(1 if self.aperture_multiplicity is None
                            else self.aperture_multiplicity)
-        mult = self.multiplicities()
-        if not np.issubdtype(given.dtype, np.integer) or mult.shape != (self.n_z - 1,) \
-                or np.any(mult < 1):
+        # a Python int beyond int64 arrives as uint64 or object
+        fits = np.issubdtype(given.dtype, np.integer) and np.all(given <= np.iinfo(np.int64).max)
+        mult = self.multiplicities() if fits else np.empty(0)
+        if mult.shape != (self.n_z - 1,) or np.any(mult < 1):
             raise ValueError(
                 f"aperture_multiplicity must be one integer >= 1 or n_z - 1 of them")
 

@@ -3,6 +3,8 @@ shows up as an edit of this list."""
 
 from __future__ import annotations
 
+import inspect
+
 import clogsim
 
 PUBLIC_NAMES = [
@@ -25,3 +27,9 @@ def test_public_surface_is_pinned():
     assert sorted(clogsim.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         getattr(clogsim, name)
+
+
+def test_solve_pressures_options_are_pinned():
+    # a deleted option cannot come back unnoticed
+    assert list(inspect.signature(clogsim.solve_pressures).parameters) == [
+        "grid", "p_in", "p_out", "tol", "max_iter", "initial", "guess", "sweep", "hierarchy"]

@@ -151,6 +151,12 @@ class TestParseConfig:
         chemical = sorted(row.field for row in _SCHEMA if row.chemical)
         assert chemical == sorted(f.name for f in fields(Chemistry))
 
+    @pytest.mark.parametrize("value", ["9223372036854775808", "100000000000000000000",
+                                       "1, 1, 100000000000000000000"])
+    def test_multiplicity_beyond_int64_rejected(self, value):
+        with pytest.raises(ValueError, match="aperture_multiplicity must be one integer"):
+            parse_config_text(SMALL + f"aperture_multiplicity = {value}\n")
+
     def test_solver_sweep_is_an_unknown_key(self):
         with pytest.raises(ValueError, match="unknown config keys: solver_sweep"):
             parse_config_text(SMALL + "solver_sweep = cg\n")
@@ -458,6 +464,12 @@ class TestEstimateCommand:
             35964678899376.12, rel=1e-12)
         assert float(kv["lifetime_s"]) == pytest.approx(2.5893e6, rel=1e-4)
         assert float(kv["capacity_particles"]) == pytest.approx(4000.0, rel=1e-12)
+
+    def test_multiplicity_beyond_int64_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text(SMALL + "aperture_multiplicity = 100000000000000000000\n")
+        assert main(["estimate", "--config", str(cfg_path)]) == 1
+        assert "aperture_multiplicity must be one integer" in capsys.readouterr().err
 
 
 class TestWriteArtifacts:

@@ -371,6 +371,22 @@ class TestSolverErrors:
         with pytest.raises(ValueError, match="tol"):
             solve_pressures(grid, 0.0, -2.0, tol=0.0)
 
+    @pytest.mark.parametrize("p_in, p_out, shown", [
+        (0.0, math.nan, "p_out=nan"),
+        (0.0, math.inf, "p_out=inf"),
+        (-2.0, -2.0, "p_in=-2.0, p_out=-2.0"),
+    ])
+    def test_bad_pressures_named(self, p_in, p_out, shown):
+        # not blamed on the default tol, nor left to CG
+        grid = build_grid(make_config())
+        with pytest.raises(ValueError, match=f"^p_in and p_out must be finite.*{shown}$"):
+            solve_pressures(grid, p_in, p_out)
+
+    def test_equal_pressures_with_a_tol(self):
+        grid = build_grid(make_config())
+        field = solve_pressures(grid, -2.0, -2.0, tol=1e-20)
+        assert field.iterations == 0 and np.all(field.pressure == -2.0)
+
     def test_bad_initial_shape(self):
         grid = build_grid(make_config())
         with pytest.raises(ValueError, match="initial"):
@@ -1284,6 +1300,62 @@ class TestHierarchyReuse:
             held = solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
             assert held.pressure.tobytes() == first.pressure.tobytes()
         assert len(builds) == 3
+
+
+def count_checks(monkeypatch) -> list:
+    """Record every ``check_connected`` call that a solve makes."""
+    calls = []
+    check = hydraulics.check_connected
+
+    def counting(grid):
+        calls.append(grid)
+        check(grid)
+
+    monkeypatch.setattr(hydraulics, "check_connected", counting)
+    return calls
+
+
+class TestConnectivityCheckRule:
+    def test_held_hierarchy_checks_only_after_a_topology_change(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        grid = random_connected_grid(rng, 0.1, 0.05, dataclasses.replace(
+            lattice_config((6, 6, 5)), aperture_multiplicity=3))
+        calls = count_checks(monkeypatch)
+        hierarchy = Hierarchy()
+
+        def solve():
+            solve_pressures(grid, 0.0, -2.0, hierarchy=hierarchy)
+            return len(calls)
+
+        assert solve() == 1    # the first solve
+        assert solve() == 1    # nothing changed
+        shrink_radii(grid, rng, 0.9, 0.99)
+        assert solve() == 1    # radii only
+        open_ = np.argwhere(grid.z_open_count == 3)
+        grid.z_open_count[tuple(open_[len(open_) // 2])] = 2    # a capture, still open
+        assert solve() == 1
+        for facet in np.argwhere(grid.x_state == ApertureState.OPEN):
+            grid.x_state[tuple(facet)] = ApertureState.SEDIMENT_SEALED    # a closure
+            if bfs_connected(grid):
+                break
+            grid.x_state[tuple(facet)] = ApertureState.OPEN
+        assert solve() == 2
+        assert solve() == 2
+        grid.z_state[:, :, 1] = ApertureState.PARTICLE_BLOCKED    # a membrane closes
+        grid.z_open_count[:, :, 1] = 0
+        kept = system_state(hierarchy)
+        for checks in (3, 4):    # the check runs again after a failed one
+            with pytest.raises(DegenerateNetworkError):
+                solve()
+            assert len(calls) == checks
+            assert system_state(hierarchy) == kept    # it ran before any write
+
+    def test_solve_without_hierarchy_always_checks(self, monkeypatch):
+        grid = guess_grid()
+        calls = count_checks(monkeypatch)
+        for k in (1, 2):
+            solve_pressures(grid, 0.0, -2.0)
+            assert len(calls) == k
 
 
 class TestConductancesOncePerSolve:
