@@ -20,14 +20,16 @@ Bookkeeping:  the state keeps, per facet family, a compact table of its
 open facets in flat index order: their indices and seal radii, and for
 the filtering family each facet's membrane, open sub-aperture count and
 pass probability.  A step computes radius, speed, wall concentration,
-shrink rate, shrink cap, deposit, seal test and pass probability once on
-these arrays, and the membranes' open weights, catch hazard and state
-counts once per step.  The tables and the state counts are rebuilt
-from the grid only at the start of a step that follows a topology change
-(``topology_dirty``: a facet blocked or sealed), and a family whose open
-facets did not change keeps its table; in between, captures update the
-sub-aperture counts in place.  A caller that edits the grid between steps
-sets ``topology_dirty``; the flag triggers only this rebuild.
+shrink rate, shrink cap, deposit and seal test once on these arrays, and
+the membranes' open weights, catch hazard and state counts once per step.
+The pass probabilities follow the radii: the layer concentrations are
+refreshed from them at the end of each step and at each table rebuild.
+The tables and the state counts are rebuilt from the grid only at the
+start of a step that follows a topology change (``topology_dirty``: a
+facet blocked or sealed), and a family whose open facets did not change
+keeps its table; in between, captures update the sub-aperture counts in
+place.  A caller that edits the grid between steps sets
+``topology_dirty``; the flag triggers only this rebuild.
 """
 
 from __future__ import annotations
@@ -203,7 +205,6 @@ class SimulationState:
     grid: CellGrid
     pressures: np.ndarray
     layer_concentration: np.ndarray   # (n_z,), m^-3
-    pass_prob: np.ndarray             # (n_x, n_y, n_z - 1), of the current z radii
     catches: np.ndarray               # (n_z - 1,), cumulative per membrane
     time: float
     steps: int
@@ -248,26 +249,20 @@ def _index_open_facets(state: SimulationState) -> None:
                 table.membrane = np.broadcast_to(np.arange(grid.n_membranes), mask.shape)[mask]
         if fam.filtering:
             table.weights = counts[mask]
-            table.pass_prob = state.pass_prob[mask]
         tables.append(table)
     state.open_facets = tuple(tables)
     state.membrane_counts = grid.membrane_state_counts()
     _refresh_concentration(state)
 
 
-def _filter_pass(config: FilterConfig, radius) -> np.ndarray:
-    """Pass probability of filtering facets at the given radii."""
-    if config.l_particle > 0:
-        return pass_probability(radius, config.l_particle)
-    return np.ones_like(radius)
-
-
 def _refresh_concentration(state: SimulationState) -> None:
-    """After the pass probabilities or the open weights changed: the open
-    weights per membrane, and the layer concentrations that the membranes'
-    mean pass over them gives."""
-    m = state.grid.n_membranes
-    z = state.open_facets[0]
+    """After the radii or the open weights changed: the filtering facets'
+    pass probabilities at their current radii, the open weights per
+    membrane, and the layer concentrations that the membranes' mean pass
+    over them gives."""
+    m, rod, z = state.grid.n_membranes, state.config.l_particle, state.open_facets[-1]
+    r = state.grid.z_radius[z.mask]
+    z.pass_prob = pass_probability(r, rod) if rod > 0 else np.ones_like(r)
     wt = np.bincount(z.membrane, z.weights, minlength=m)
     mean_pass = np.where(wt > 0, np.bincount(z.membrane, z.weights * z.pass_prob, minlength=m)
                          / np.maximum(wt, 1), 0.0)
@@ -283,8 +278,7 @@ def initialize(config: FilterConfig) -> SimulationState:
     ramp = np.linspace(0.0, p_out, config.n_z)
     pressures = np.broadcast_to(ramp, (config.n_x, config.n_y, config.n_z)).copy()
     state = SimulationState(
-        config=config, grid=grid, pressures=pressures,
-        layer_concentration=None, pass_prob=_filter_pass(config, grid.z_radius),
+        config=config, grid=grid, pressures=pressures, layer_concentration=None,
         catches=np.zeros(config.n_z - 1, dtype=np.int64),
         time=0.0, steps=0,
         rng=np.random.default_rng(config.seed),
@@ -302,11 +296,11 @@ def _aperture_kinetics(state: SimulationState, flows: FlowField, f_sub: np.ndarr
     """
     chem = state.config.chemistry
     c0 = state.config.c0_entrance
-    flow_by_axis = (flows.flow_x, flows.flow_y, flows.flow_z)
     out = []
-    for fam, table in zip(_FACET_FAMILIES, state.open_facets):
+    for fam, table, flow in zip(_FACET_FAMILIES, state.open_facets,
+                                (flows.flow_x, flows.flow_y, flows.flow_z)):
         r = fam.arrays(state.grid)[1][table.mask]
-        f = f_sub if fam.filtering else np.abs(flow_by_axis[fam.axis][table.mask])
+        f = f_sub if fam.filtering else np.abs(flow[table.mask])
         speed = 2.0 * f / (np.pi * r * r)
         rate = r
         if r.size:
@@ -347,7 +341,7 @@ def _depletion_warning(state: SimulationState, kinetics) -> bool:
     if chem is None:
         return False
     cfg = state.config
-    z_speed = kinetics[0][2]
+    z_speed = kinetics[-1][2]
     speed = float(z_speed.mean()) if z_speed.size else 0.0
     cavity = (cfg.h_x + cfg.h_y + cfg.h_z) / 3.0
     c0, threshold = cfg.c0_entrance, cfg.depletion_threshold
@@ -371,7 +365,7 @@ def _capture(state: SimulationState, f_sub, catch_flow, dt: float) -> bool:
     only where p > 0 (every open facet has w > 0): numpy draws nothing for
     p = 0, so the random stream is that of a draw over every facet."""
     grid = state.grid
-    z = state.open_facets[0]
+    z = state.open_facets[-1]
     conc = state.layer_concentration[:grid.n_membranes]
     p = 1.0 - z.pass_prob ** (f_sub * dt * conc.take(z.membrane))
     if state.config.blocking_law == BLOCKING_CORRECTED:
@@ -463,7 +457,7 @@ def step(state: SimulationState) -> SimulationState:
     if state.clean_flow is None:
         state.clean_flow = total
 
-    z = state.open_facets[0]
+    z = state.open_facets[-1]
     f_sub = np.abs(flows.flow_z[z.mask]) / z.weights
     kinetics = _aperture_kinetics(state, flows, f_sub) if chem is not None else ()
     catch_flow = None
@@ -493,9 +487,6 @@ def step(state: SimulationState) -> SimulationState:
 
     blocked = catch_flow is not None and _capture(state, f_sub, catch_flow, dt)
     _deposit(state, kinetics, dt, blocked)
-    # only the radii of the facets open at the start of the step moved
-    z.pass_prob = _filter_pass(cfg, grid.z_radius[z.mask])
-    state.pass_prob[z.mask] = z.pass_prob
     _refresh_concentration(state)
     state.time += dt
     state.steps += 1
@@ -507,7 +498,6 @@ def run(config: FilterConfig, *, max_steps: int = 1_000_000) -> SimulationTrace:
     """Simulate until the filter stops, disconnects, or hits the time limit."""
     state = initialize(config)
     reason = None
-    threshold = None
     while state.steps < max_steps:
         try:
             step(state)
@@ -515,10 +505,7 @@ def run(config: FilterConfig, *, max_steps: int = 1_000_000) -> SimulationTrace:
             _record(state, 0.0, 0.0, False)
             reason = "degenerate"
             break
-        last = state.trace[-1]
-        if threshold is None:
-            threshold = config.flow_stop_fraction * state.clean_flow
-        if last.total_flow <= threshold:
+        if state.trace[-1].total_flow <= config.flow_stop_fraction * state.clean_flow:
             reason = "flow-stopped"
             break
         if config.time_limit is not None and state.time >= config.time_limit * (1 - 1e-12):

@@ -48,8 +48,6 @@ import numpy as np
 
 from .model import _FACET_FAMILIES, ApertureState, CellGrid
 
-# facet families in axis order: every sum over axes runs x, y, z
-_AXIS_FAMILIES = sorted(_FACET_FAMILIES, key=lambda fam: fam.axis)
 # per axis, the slices selecting the lower and the upper cell of every facet
 _SIDES = tuple(
     tuple(tuple(side if a == axis else slice(None) for a in range(3))
@@ -98,7 +96,7 @@ def conductance_arrays(grid: CellGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     h = (grid.h_x, grid.h_y, grid.h_z)
     out = []
-    for fam in _AXIS_FAMILIES:
+    for fam in _FACET_FAMILIES:
         section_a, section_b = (h[a] for a in range(3) if a != fam.axis)
         coeff = _conduit_coefficient(section_a * section_b, 2.0 * (section_a + section_b),
                                      grid.mu, h[fam.axis])
@@ -134,7 +132,7 @@ def check_connected(grid: CellGrid) -> None:
     soon as it reaches an outlet window cell, or, with the network split,
     at the first pass that reaches no new cell.
     """
-    masks = [fam.open_mask(grid) for fam in _AXIS_FAMILIES]
+    masks = [fam.open_mask(grid) for fam in _FACET_FAMILIES]
     *sides, z_open = masks
     if all(m.all() for m in sides) and grid.inlet_mask.any() and grid.outlet_mask.any():
         connected = z_open.any(axis=(0, 1)).all()

@@ -63,9 +63,9 @@ class _FacetFamily:
         return mask & (open_count > 0) if self.filtering else mask
 
 
-# filtering facets first: the order of the engine's loops
-_FACET_FAMILIES = (_FacetFamily("z", 2, True), _FacetFamily("x", 0, False),
-                   _FacetFamily("y", 1, False))
+# in axis order: every loop over the families runs x, y, z, filtering last
+_FACET_FAMILIES = (_FacetFamily("x", 0, False), _FacetFamily("y", 1, False),
+                   _FacetFamily("z", 2, True))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ shows up as an edit of this list."""
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import clogsim
@@ -33,3 +34,11 @@ def test_solve_pressures_options_are_pinned():
     # a deleted option cannot come back unnoticed
     assert list(inspect.signature(clogsim.solve_pressures).parameters) == [
         "grid", "p_in", "p_out", "tol", "max_iter", "initial", "guess", "sweep", "hierarchy"]
+
+
+def test_simulation_state_fields_are_pinned():
+    # the engine's state is public: a field added or removed is an API change
+    assert [f.name for f in dataclasses.fields(clogsim.SimulationState)] == [
+        "config", "grid", "pressures", "layer_concentration", "catches", "time", "steps",
+        "rng", "solver_tol", "clean_flow", "topology_dirty", "last_dt", "prev_pressures",
+        "prev_dt", "trace", "open_facets", "membrane_counts", "open_weights", "hierarchy"]

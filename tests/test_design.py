@@ -9,9 +9,12 @@ from clogsim.design import (catch_probability, equal_contamination_schedule,
                             lifetime_estimates, penetration_probability,
                             quantile_penetration_forms, quantile_schedule,
                             radius_for_catch, uniform_schedule)
-from clogsim.engine import pass_probability
+from clogsim.cli import parse_config
+from clogsim.engine import initialize, pass_probability
 from clogsim.hydraulics import reference_cell_flow
 from clogsim.model import FilterConfig, build_grid
+
+from conftest import CONFIG_DIR
 
 ROD = 2.5e-5
 Q_SCENARIO = 0.6939019764846559
@@ -188,6 +191,16 @@ class TestPenetrationProbability:
     def test_validation(self):
         with pytest.raises(ValueError, match="catch"):
             penetration_probability([0.5, 1.5])
+
+    @pytest.mark.parametrize("name", ["scenario1.cfg", "scenario2.cfg", "scenario3.cfg"])
+    def test_engine_penetration_at_start(self, name):
+        # the engine's capture law and the design formulas agree on a clean
+        # filter, up to the order of the products
+        config = parse_config(CONFIG_DIR / name)
+        engine = initialize(config).layer_concentration[-1] / config.N_particles
+        design = penetration_probability(
+            catch_probability(config.filter_radii(), config.l_particle))
+        assert engine == pytest.approx(design, rel=1e-12, abs=0)
 
 
 class TestLifetimeEstimates:

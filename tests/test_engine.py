@@ -374,13 +374,18 @@ class TestWarmStart:
         cfg = scenario1_small(calcium)
         state = initialize(cfg)
         assert len(calls) == 1
-        for _ in range(4):
+        rebuilds = 0
+        for _ in range(30):
+            rebuilds += state.topology_dirty    # a rebuild at the step's start
             step(state)
-        assert len(calls) == 1 + 4
-        # the probabilities kept for the next step follow the shrunken radii
+            # one call at the end of each step, one per table rebuild
+            assert len(calls) == 1 + state.steps + rebuilds
+            # the probabilities kept for the next step follow the current radii
+            z = state.open_facets[-1]
+            np.testing.assert_array_equal(
+                z.pass_prob, pass_probability(state.grid.z_radius[z.mask], cfg.l_particle))
+        assert rebuilds > 0
         assert np.any(state.grid.z_radius != state.grid.z_radius0)
-        np.testing.assert_array_equal(
-            state.pass_prob, pass_probability(state.grid.z_radius, cfg.l_particle))
 
 
 class TestHierarchy:
@@ -561,18 +566,19 @@ class TestOpenFacets:
             for old, new in zip(before, state.open_facets):
                 # a family whose open facets did not change keeps its table
                 assert new is old or not np.array_equal(new.mask, old.mask)
-            z = state.open_facets[0]
+            z = state.open_facets[-1]
             # weights drop to zero as facets close; the rest match the grid
             np.testing.assert_array_equal(z.weights, np.where(
                 grid.z_state.reshape(-1)[z.index] == ApertureState.OPEN,
                 grid.z_open_count.reshape(-1)[z.index], 0))
-            np.testing.assert_array_equal(z.pass_prob, state.pass_prob.reshape(-1)[z.index])
+            q = pass_probability(grid.z_radius, cfg.l_particle)
+            np.testing.assert_array_equal(z.pass_prob, q.reshape(-1)[z.index])
             # the per-membrane sums over the compact arrays equal the sums
             # over the whole lattice, bit for bit
             w = np.where(grid.z_state == ApertureState.OPEN, grid.z_open_count, 0)
             wt = w.sum(axis=(0, 1))
             np.testing.assert_array_equal(state.open_weights, wt)
-            mean_pass = np.where(wt > 0, (w * state.pass_prob).sum(axis=(0, 1))
+            mean_pass = np.where(wt > 0, (w * q).sum(axis=(0, 1))
                                  / np.maximum(wt, 1), 0.0)
             want = layer_concentrations(cfg.N_particles, mean_pass)
             assert state.layer_concentration.tobytes() == want.tobytes()
@@ -592,7 +598,7 @@ class TestOpenFacets:
         step(state)
         assert not state.topology_dirty
         grid = state.grid
-        z_before, x_before, y_before = state.open_facets
+        x_before, y_before, z_before = state.open_facets
         grid.x_state[2, 2, 2] = ApertureState.SEDIMENT_SEALED
         grid.z_state[3, 3, 1] = ApertureState.PARTICLE_BLOCKED
         grid.z_open_count[3, 3, 1] = 0
@@ -608,12 +614,45 @@ class TestOpenFacets:
             state.layer_concentration,
             layer_concentrations(state.config.N_particles, mean_pass), rtol=1e-13)
         step(state)
-        z, x, y = state.open_facets
+        x, y, z = state.open_facets
         assert z is not z_before and x is not x_before and y is y_before
         assert not x.mask[2, 2, 2] and not z.mask[3, 3, 1]
         assert x.index.size == x_before.index.size - 1
         assert z.index.size == z_before.index.size - 1
         np.testing.assert_array_equal(z.weights, grid.z_open_count[z.mask])
+
+    def test_radius_edit_between_steps_reaches_the_capture_law(self, calcium, monkeypatch):
+        # an edited radius changes no open facet, so the z table is kept; the
+        # capture of the next step still reads the pass of the edited radius
+        seen, capture = [], engine._capture
+
+        def recording(state, *args):
+            z = state.open_facets[-1]
+            seen.append((z.index.copy(), z.pass_prob.copy(), state.layer_concentration.copy()))
+            return capture(state, *args)
+
+        monkeypatch.setattr(engine, "_capture", recording)
+        state = initialize(scenario1_small(calcium))
+        step(state)
+        assert not state.topology_dirty
+        grid, l_particle = state.grid, state.config.l_particle
+        before = pass_probability(grid.z_radius[2, 2, 0], l_particle)
+        grid.z_radius[2, 2, 0] *= 0.5
+        edited = pass_probability(grid.z_radius[2, 2, 0], l_particle)
+        assert edited < 0.5 * before
+        state.topology_dirty = True
+        open_ = (grid.z_state == ApertureState.OPEN) & (grid.z_open_count > 0)
+        weights = np.where(open_, grid.z_open_count, 0)
+        mean_pass = ((weights * pass_probability(grid.z_radius, l_particle)).sum(axis=(0, 1))
+                     / weights.sum(axis=(0, 1)))
+        step(state)
+        index, q, concentration = seen[-1]
+        assert len(seen) == 2
+        flat = np.ravel_multi_index((2, 2, 0), grid.z_radius.shape)
+        assert q[index == flat].tolist() == [edited]
+        np.testing.assert_allclose(
+            concentration, layer_concentrations(state.config.N_particles, mean_pass),
+            rtol=1e-13)
 
     def test_state_counts_only_after_a_change(self, calcium, monkeypatch):
         from clogsim.model import CellGrid

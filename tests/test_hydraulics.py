@@ -606,7 +606,8 @@ def pinned_solves() -> dict[str, tuple[np.ndarray, int]]:
         for k in range(2):
             grid = random_connected_grid(rng, rng.uniform(0.05, 0.35),
                                          rng.uniform(0.0, 0.3), config)
-            for _, radius, _, _ in (fam.arrays(grid) for fam in _FACET_FAMILIES):
+            # z first: the order of the draws the pinned solves were made with
+            for radius in (grid.z_radius, grid.x_radius, grid.y_radius):
                 radius *= rng.uniform(0.5, 1.0, radius.shape)
             grid.z_open_count -= rng.integers(0, 2, grid.z_open_count.shape) \
                 * (grid.z_open_count > 1)
@@ -775,7 +776,7 @@ def holed_grid(rng, shape, floating=True):
 
 def window_connected(grid) -> np.ndarray:
     """Cells joined to a window cell by open apertures."""
-    masks = [fam.open_mask(grid) for fam in sorted(_FACET_FAMILIES, key=lambda f: f.axis)]
+    masks = [fam.open_mask(grid) for fam in _FACET_FAMILIES]
     reached = np.zeros((grid.n_x, grid.n_y, grid.n_z), dtype=bool)
     reached[:, :, 0] = grid.inlet_mask
     reached[:, :, -1] |= grid.outlet_mask
@@ -889,9 +890,9 @@ def level_matrix(level) -> np.ndarray:
 
 def shrink_radii(grid, rng, low, high) -> None:
     """Shrink every aperture by a random factor in [low, high); the active
-    cells stay the same."""
-    for fam in _FACET_FAMILIES:
-        radius = fam.arrays(grid)[1]
+    cells stay the same.  The draws run z, x, y, as the pinned digests were
+    made with."""
+    for radius in (grid.z_radius, grid.x_radius, grid.y_radius):
         radius *= rng.uniform(low, high, radius.shape)
 
 
