@@ -24,6 +24,7 @@ import numpy as np
 from .design import (LayerSchedule, equal_contamination_schedule, lifetime_estimates,
                      quantile_penetration_forms, quantile_schedule, uniform_schedule)
 from .engine import SimulationTrace, run
+from .hydraulics import ConvergenceError
 from .model import ApertureState, Chemistry, FilterConfig
 from .sediment import CalibrationInfeasibleError, calibrate_rate_constant
 
@@ -321,10 +322,15 @@ def _cmd_simulate(args) -> int:
     # slicing, not len(): a range longer than sys.maxsize has no len()
     many = bool(seeds[1:])
     out_base = Path(args.out)
-    degenerate = False
+    degenerate = failed = False
     for seed in seeds:
         run_config = replace(config, seed=seed)
-        trace = run(run_config)
+        try:
+            trace = run(run_config)
+        except ConvergenceError as exc:
+            print(f"error: seed {seed}: {exc}", file=sys.stderr)
+            failed = True
+            continue
         out_dir = out_base / f"seed_{seed}" if many else out_base
         write_run_artifacts(run_config, trace, out_dir)
         counts = trace.final_counts()
@@ -332,7 +338,7 @@ def _cmd_simulate(args) -> int:
               f"catches = {counts['catches']}, blocked = {counts['blocked']}, "
               f"sealed = {counts['sealed']} -> {out_dir}")
         degenerate = degenerate or trace.stop_reason == "degenerate"
-    return 3 if degenerate else 0
+    return 4 if failed else 3 if degenerate else 0
 
 
 def _schedule_text(schedule: LayerSchedule, extra: list[str] | None = None) -> str:

@@ -1,10 +1,10 @@
 """Time-stepping engine coupling capture, deposition and the flow network.
 
-A step recomputes the pressure field, lets each open filtering aperture
-draw a capture event against the particle flux reaching its membrane,
-shrinks the still-open apertures by deposit growth, then refreshes the
-particle concentration profile along the filter from the membranes' mean
-pass probabilities.  A run repeats steps until the filter effectively
+A step computes the particle concentration profile along the filter
+from the membranes' mean pass probabilities and the pressure field, lets
+each open filtering aperture draw a capture event against the particle
+flux reaching its membrane, then shrinks the still-open apertures by
+deposit growth.  A run repeats steps until the filter effectively
 stops (total flow under a set fraction of the clean-filter flow), the
 network disconnects, or a configured time limit is reached.
 
@@ -16,20 +16,21 @@ law is 1 - q^(F dt N); the corrected law rescales it so the expected
 number of captures in a membrane matches the arrival-limited exponential
 rate.
 
-Bookkeeping:  the state keeps, per facet family, a compact table of its
-open facets in flat index order: their indices and seal radii, and for
-the filtering family each facet's membrane, open sub-aperture count and
-pass probability.  A step computes radius, speed, wall concentration,
-shrink rate, shrink cap, deposit and seal test once on these arrays, and
-the membranes' open weights, catch hazard and state counts once per step.
-The pass probabilities follow the radii: the layer concentrations are
-refreshed from them at the end of each step and at each table rebuild.
-The tables and the state counts are rebuilt from the grid only at the
-start of a step that follows a topology change (``topology_dirty``: a
-facet blocked or sealed), and a family whose open facets did not change
-keeps its table; in between, captures update the sub-aperture counts in
-place.  A caller that edits the grid between steps sets
-``topology_dirty``; the flag triggers only this rebuild.
+Bookkeeping:  a step reads the grid once, at its start, and after that
+writes only the grid and ``catches``.  The read keeps, per facet family, a
+compact table of its open facets in flat index order: their indices and
+seal radii, and for the filtering family each facet's membrane, open
+sub-aperture count and pass probability at its current radius.  A family
+whose open facets did not change keeps its table; the membrane state
+counts are recounted only when some table changed.  A step computes
+radius, speed, wall concentration, shrink rate, shrink cap, deposit and
+seal test once on these arrays, and the membranes' open weights, catch
+hazard and layer concentrations once.  Between steps the state's tables,
+open weights, layer concentrations and state counts are the values the
+last step used (after ``initialize``, those of the clean grid); a caller
+may edit any grid array between steps, and the next step reads the edit,
+except that an edit moving a closed facet between blocked and sealed
+reaches the state counts only at the next change of the open facets.
 """
 
 from __future__ import annotations
@@ -184,9 +185,8 @@ class SimulationTrace:
 @dataclass(eq=False)
 class _OpenFacets:
     """The open facets of one family, in flat index order: the compact
-    arrays a step computes on.  Rebuilt from the grid after a step that
-    closed a facet of the family; in between, captures update ``weights``
-    in place.  ``mask`` serves the whole-table gathers and scatters, where
+    arrays a step computes on, read from the grid at the step's start.
+    ``mask`` serves the whole-table gathers and scatters, where
     boolean indexing is several times faster than ``np.put`` (numpy 2.4);
     ``index`` serves the updates of a few facets."""
 
@@ -195,8 +195,8 @@ class _OpenFacets:
     seal_radius: np.ndarray    # radius at or under which each facet seals
     # filtering families only
     membrane: np.ndarray | None = None   # membrane of each facet
-    weights: np.ndarray | None = None    # open sub-apertures, zero once closed
-    pass_prob: np.ndarray | None = None  # pass probability of the current radii
+    weights: np.ndarray | None = None    # open sub-apertures
+    pass_prob: np.ndarray | None = None  # pass probability at the radii read
 
 
 @dataclass(eq=False)
@@ -211,7 +211,6 @@ class SimulationState:
     rng: np.random.Generator
     solver_tol: float
     clean_flow: float | None = None
-    topology_dirty: bool = True
     last_dt: float | None = None
     # converged field and step before the last ones; with them the next
     # solve gets a linearly extrapolated candidate start
@@ -231,43 +230,35 @@ class SimulationState:
         return self.config.p_grad * self.config.L_z
 
 
-def _index_open_facets(state: SimulationState) -> None:
-    """Rebuild the open-facet tables and the membrane counts from the grid,
-    then the open weights and layer concentrations from the new tables;
-    a family whose open facets are unchanged keeps its table."""
-    grid = state.grid
-    tables = []
+def _read_grid(state: SimulationState) -> None:
+    """Read the grid a step starts from: the open-facet tables (a family
+    whose open facets are unchanged keeps its table), the filtering facets'
+    sub-aperture counts and pass probabilities, the open weights and layer
+    concentrations they give, and the state counts when a table changed."""
+    grid, cfg = state.grid, state.config
+    tables, changed = [], False
     for fam, old in zip(_FACET_FAMILIES, state.open_facets or (None,) * len(_FACET_FAMILIES)):
-        radius0, _, _, counts = fam.arrays(grid)
         mask = fam.open_mask(grid)
-        if old is not None and np.array_equal(mask, old.mask):
-            table = old
-        else:
+        table = old
+        if old is None or not np.array_equal(mask, old.mask):
             table = _OpenFacets(np.flatnonzero(mask), mask,
-                                state.config.seal_fraction * radius0[mask])
+                                cfg.seal_fraction * fam.arrays(grid)[0][mask])
             if fam.filtering:
                 table.membrane = np.broadcast_to(np.arange(grid.n_membranes), mask.shape)[mask]
-        if fam.filtering:
-            table.weights = counts[mask]
+            changed = True
         tables.append(table)
     state.open_facets = tuple(tables)
-    state.membrane_counts = grid.membrane_state_counts()
-    _refresh_concentration(state)
-
-
-def _refresh_concentration(state: SimulationState) -> None:
-    """After the radii or the open weights changed: the filtering facets'
-    pass probabilities at their current radii, the open weights per
-    membrane, and the layer concentrations that the membranes' mean pass
-    over them gives."""
-    m, rod, z = state.grid.n_membranes, state.config.l_particle, state.open_facets[-1]
-    r = state.grid.z_radius[z.mask]
+    if changed:
+        state.membrane_counts = grid.membrane_state_counts()
+    z, m, rod = tables[-1], grid.n_membranes, cfg.l_particle
+    z.weights = grid.z_open_count[z.mask]
+    r = grid.z_radius[z.mask]
     z.pass_prob = pass_probability(r, rod) if rod > 0 else np.ones_like(r)
     wt = np.bincount(z.membrane, z.weights, minlength=m)
     mean_pass = np.where(wt > 0, np.bincount(z.membrane, z.weights * z.pass_prob, minlength=m)
                          / np.maximum(wt, 1), 0.0)
     state.open_weights = wt
-    state.layer_concentration = layer_concentrations(state.config.N_particles, mean_pass)
+    state.layer_concentration = layer_concentrations(cfg.N_particles, mean_pass)
 
 
 def initialize(config: FilterConfig) -> SimulationState:
@@ -284,7 +275,7 @@ def initialize(config: FilterConfig) -> SimulationState:
         rng=np.random.default_rng(config.seed),
         solver_tol=tol,
     )
-    _index_open_facets(state)
+    _read_grid(state)
     return state
 
 
@@ -359,11 +350,12 @@ def _depletion_warning(state: SimulationState, kinetics) -> bool:
     return not est.negligible
 
 
-def _capture(state: SimulationState, f_sub, catch_flow, dt: float) -> bool:
+def _capture(state: SimulationState, f_sub, catch_flow, dt: float) -> np.ndarray:
     """Capture draws, all membranes at once, against the pre-step
-    concentrations; True when a facet lost its last sub-aperture.  Draws run
-    only where p > 0 (every open facet has w > 0): numpy draws nothing for
-    p = 0, so the random stream is that of a draw over every facet."""
+    concentrations; returns the table positions of the facets that lost
+    their last sub-aperture.  Draws run only where p > 0 (every open facet
+    has w > 0): numpy draws nothing for p = 0, so the random stream is that
+    of a draw over every facet."""
     grid = state.grid
     z = state.open_facets[-1]
     conc = state.layer_concentration[:grid.n_membranes]
@@ -378,24 +370,19 @@ def _capture(state: SimulationState, f_sub, catch_flow, dt: float) -> bool:
     drawn = np.flatnonzero(p > 0)
     hits = state.rng.binomial(z.weights.take(drawn), p.take(drawn))
     nonzero = hits > 0
-    if not nonzero.any():
-        return False
     hit, hits = drawn[nonzero], hits[nonzero]
-    z.weights[hit] -= hits
-    grid.z_open_count.put(z.index[hit], grid.z_open_count.take(z.index[hit]) - hits)
+    left = z.weights.take(hit) - hits
+    grid.z_open_count.put(z.index[hit], left)
     np.add.at(state.catches, z.membrane[hit], hits)
-    exhausted = hit[z.weights[hit] == 0]
-    if not exhausted.size:
-        return False
+    exhausted = hit[left == 0]
     grid.z_state.put(z.index[exhausted], ApertureState.PARTICLE_BLOCKED)
-    state.topology_dirty = True
-    return True
+    return exhausted
 
 
-def _deposit(state: SimulationState, kinetics, dt: float, blocked: bool) -> None:
+def _deposit(state: SimulationState, kinetics, dt: float, closed: np.ndarray) -> None:
     """Deposit growth on whatever is still open, then the seal test.
-    ``blocked``: a capture closed a filtering facet this step, which keeps its
-    radius."""
+    ``closed``: the filtering table positions a capture closed this step,
+    which keep their radii."""
     grid = state.grid
     for fam, table, (r, rate, _) in zip(_FACET_FAMILIES, state.open_facets, kinetics):
         if not r.size:
@@ -403,16 +390,11 @@ def _deposit(state: SimulationState, kinetics, dt: float, blocked: bool) -> None
         _, radius, st, _ = fam.arrays(grid)
         shrunk = np.maximum(r - rate * dt, 0.0)
         sealing = shrunk <= table.seal_radius
-        if fam.filtering and blocked:
-            closed = table.weights == 0
+        if fam.filtering:
             shrunk[closed] = r[closed]
-            sealing &= ~closed
+            sealing[closed] = False
         radius[table.mask] = shrunk
-        if sealing.any():
-            st.put(table.index[sealing], ApertureState.SEDIMENT_SEALED)
-            state.topology_dirty = True
-            if fam.filtering:
-                table.weights[sealing] = 0
+        st.put(table.index[sealing], ApertureState.SEDIMENT_SEALED)
 
 
 def _solve(state: SimulationState) -> FlowField:
@@ -448,10 +430,11 @@ def step(state: SimulationState) -> SimulationState:
     cfg = state.config
     grid = state.grid
     chem = cfg.chemistry
+    if cfg.time_limit is not None and state.time >= cfg.time_limit:
+        raise ValueError(f"no step left: the state's time {state.time!r} s has reached "
+                         f"time_limit = {cfg.time_limit!r} s")
 
-    if state.topology_dirty:
-        _index_open_facets(state)
-        state.topology_dirty = False
+    _read_grid(state)
     flows = _solve(state)
     total = total_flow(grid, flows)
     if state.clean_flow is None:
@@ -485,9 +468,9 @@ def step(state: SimulationState) -> SimulationState:
 
     _record(state, dt, total, _depletion_warning(state, kinetics), state.membrane_counts)
 
-    blocked = catch_flow is not None and _capture(state, f_sub, catch_flow, dt)
-    _deposit(state, kinetics, dt, blocked)
-    _refresh_concentration(state)
+    closed = (_capture(state, f_sub, catch_flow, dt) if catch_flow is not None
+              else np.empty(0, dtype=np.intp))
+    _deposit(state, kinetics, dt, closed)
     state.time += dt
     state.steps += 1
     state.prev_dt, state.last_dt = state.last_dt, dt

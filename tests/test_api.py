@@ -40,5 +40,5 @@ def test_simulation_state_fields_are_pinned():
     # the engine's state is public: a field added or removed is an API change
     assert [f.name for f in dataclasses.fields(clogsim.SimulationState)] == [
         "config", "grid", "pressures", "layer_concentration", "catches", "time", "steps",
-        "rng", "solver_tol", "clean_flow", "topology_dirty", "last_dt", "prev_pressures",
-        "prev_dt", "trace", "open_facets", "membrane_counts", "open_weights", "hierarchy"]
+        "rng", "solver_tol", "clean_flow", "last_dt", "prev_pressures", "prev_dt",
+        "trace", "open_facets", "membrane_counts", "open_weights", "hierarchy"]

@@ -10,6 +10,7 @@ import pytest
 from clogsim.cli import (_SCHEMA, _parse_seed_spec, format_config, main,
                          parse_config, parse_config_text, write_run_artifacts)
 from clogsim.engine import run
+from clogsim.hydraulics import ConvergenceError
 from clogsim.model import Chemistry, FilterConfig
 
 from conftest import (CONFIG_DIR, DATA_DIR, ENTRANCE_CONCENTRATION, GROWTH, RATE_CONSTANT,
@@ -316,6 +317,35 @@ class TestSimulateCommand:
         summary = _kv((tmp_path / "run" / "summary.txt").read_text())
         assert summary["stop_reason"] == "degenerate"
         assert summary["blocked_facets"] == "0"
+
+    def test_stalled_solve_reports_its_seed_and_exits_four(self, tmp_path, capsys):
+        # a run whose solve stalls ends with its seed named; the batch goes on
+        cfg_path = tmp_path / "stall.cfg"
+        cfg_path.write_text((CONFIG_DIR / "scenario3.cfg").read_text() + "solver_max_iter = 3\n")
+        code = main(["simulate", "--config", str(cfg_path), "--seed", "1..2",
+                     "--out", str(tmp_path / "batch")])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert [line[:len("error: seed 1: ")] for line in err] == ["error: seed 1: ",
+                                                                  "error: seed 2: "]
+        assert all("stalled" in line and "after 3 iterations" in line for line in err)
+        assert not (tmp_path / "batch").exists()
+
+    def test_failed_run_outranks_degenerate(self, tmp_path, monkeypatch, capsys):
+        def stall_seed_two(config):
+            if config.seed == 2:
+                raise ConvergenceError("pressure conjugate gradient stalled")
+            return run(config)
+
+        monkeypatch.setattr("clogsim.cli.run", stall_seed_two)
+        cfg_path = tmp_path / "seal.cfg"
+        cfg_path.write_text(SEALING)
+        out = tmp_path / "batch"
+        code = main(["simulate", "--config", str(cfg_path), "--seed", "1..3", "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().err == "error: seed 2: pressure conjugate gradient stalled\n"
+        for seed, written in ((1, True), (2, False), (3, True)):
+            assert (out / f"seed_{seed}" / "trace.csv").exists() == written
 
     def test_overrides_reach_the_echo(self, tmp_path):
         cfg_path = tmp_path / "seal.cfg"

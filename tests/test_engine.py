@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clogsim import engine
-from clogsim.engine import (LayerStats, SimulationTrace, initialize,
+from clogsim.engine import (BLOCKING_CORRECTED, LayerStats, SimulationTrace, initialize,
                             layer_concentrations, pass_probability, run, step,
                             step_blocking_probability)
 from clogsim.hydraulics import (DegenerateNetworkError, flows_from_pressures, solve_pressures,
@@ -205,9 +205,34 @@ class TestStepMechanics:
         state = initialize(cfg)
         state.grid.z_state[:, :, 1] = ApertureState.PARTICLE_BLOCKED
         state.grid.z_open_count[:, :, 1] = 0
-        state.topology_dirty = True
         with pytest.raises(DegenerateNetworkError):
             step(state)
+
+    def test_step_past_the_time_limit_names_it(self):
+        cfg = make_config(dt=20000.0, time_limit=2e4)
+        state = initialize(cfg)
+        step(state)
+        assert state.time == 2e4
+        with pytest.raises(ValueError, match=r"time 20000\.0 s has reached time_limit = 20000\.0"):
+            step(state)
+        assert state.steps == 1 and len(state.trace) == 1
+
+    def test_unflagged_edit_reaches_the_next_capture(self):
+        # fewer sub-apertures left than the last step saw: the next capture
+        # draws against the grid's counts, so none goes below zero
+        cfg = make_config(aperture_multiplicity=3, dt=3e4, seed=3)
+        state = initialize(cfg)
+        step(state)
+        grid = state.grid
+        full = (grid.z_state == ApertureState.OPEN) & (grid.z_open_count == 3)
+        assert full.any()
+        grid.z_open_count[full] = 1
+        state.config = dataclasses.replace(cfg, dt=3e6)
+        step(state)
+        assert grid.z_open_count.min() >= 0
+        np.testing.assert_array_equal(grid.z_state == ApertureState.PARTICLE_BLOCKED,
+                                      grid.z_open_count == 0)
+        assert (grid.z_open_count[full] == 0).any()
 
 
 class TestRunOutcomes:
@@ -374,17 +399,19 @@ class TestWarmStart:
         cfg = scenario1_small(calcium)
         state = initialize(cfg)
         assert len(calls) == 1
-        rebuilds = 0
+        rebuilt = False
         for _ in range(30):
-            rebuilds += state.topology_dirty    # a rebuild at the step's start
+            before = state.open_facets[-1]
+            want = pass_probability(state.grid.z_radius, cfg.l_particle)
             step(state)
-            # one call at the end of each step, one per table rebuild
-            assert len(calls) == 1 + state.steps + rebuilds
-            # the probabilities kept for the next step follow the current radii
+            # one call when each step reads the grid, whether or not a
+            # table was rebuilt
+            assert len(calls) == 1 + state.steps
+            # the probabilities the step used are those of the radii it started from
             z = state.open_facets[-1]
-            np.testing.assert_array_equal(
-                z.pass_prob, pass_probability(state.grid.z_radius[z.mask], cfg.l_particle))
-        assert rebuilds > 0
+            rebuilt |= z is not before
+            np.testing.assert_array_equal(z.pass_prob, want[z.mask])
+        assert rebuilt
         assert np.any(state.grid.z_radius != state.grid.z_radius0)
 
 
@@ -536,6 +563,12 @@ class TestPinnedTraces:
         assert sum(final.sealed) > 0 and sum(final.catches) > sum(final.blocked) > 0
 
 
+def closed_since_read(state) -> bool:
+    """A facet closed since the state's tables were read from the grid."""
+    return any(not np.array_equal(table.mask, fam.open_mask(state.grid))
+               for fam, table in zip(_FACET_FAMILIES, state.open_facets))
+
+
 class TestOpenFacets:
     def test_binomial_draws_nothing_for_empty_or_zero_entries(self):
         # the engine draws captures on the entries with w > 0 and p > 0 only;
@@ -560,66 +593,62 @@ class TestOpenFacets:
         grid = state.grid
         closed_once = False
         for _ in range(200):
+            # the grid the step starts from
             before = state.open_facets
+            masks = [fam.open_mask(grid) for fam in _FACET_FAMILIES]
+            w = np.where(grid.z_state == ApertureState.OPEN, grid.z_open_count, 0)
+            q = pass_probability(grid.z_radius, cfg.l_particle)
             step(state)
-            closed_once |= state.topology_dirty
-            for old, new in zip(before, state.open_facets):
+            for fam, old, new, mask in zip(_FACET_FAMILIES, before, state.open_facets, masks):
                 # a family whose open facets did not change keeps its table
                 assert new is old or not np.array_equal(new.mask, old.mask)
+                closed_once |= new is not old
+                np.testing.assert_array_equal(new.mask, mask)
+                np.testing.assert_array_equal(new.index, np.flatnonzero(mask))
+                radius0 = fam.arrays(grid)[0].reshape(-1)[new.index]
+                np.testing.assert_array_equal(new.seal_radius, cfg.seal_fraction * radius0)
             z = state.open_facets[-1]
-            # weights drop to zero as facets close; the rest match the grid
-            np.testing.assert_array_equal(z.weights, np.where(
-                grid.z_state.reshape(-1)[z.index] == ApertureState.OPEN,
-                grid.z_open_count.reshape(-1)[z.index], 0))
-            q = pass_probability(grid.z_radius, cfg.l_particle)
+            # the step wrote no capture into the weights it read
+            np.testing.assert_array_equal(z.weights, w.reshape(-1)[z.index])
             np.testing.assert_array_equal(z.pass_prob, q.reshape(-1)[z.index])
             # the per-membrane sums over the compact arrays equal the sums
             # over the whole lattice, bit for bit
-            w = np.where(grid.z_state == ApertureState.OPEN, grid.z_open_count, 0)
             wt = w.sum(axis=(0, 1))
             np.testing.assert_array_equal(state.open_weights, wt)
             mean_pass = np.where(wt > 0, (w * q).sum(axis=(0, 1))
                                  / np.maximum(wt, 1), 0.0)
             want = layer_concentrations(cfg.N_particles, mean_pass)
             assert state.layer_concentration.tobytes() == want.tobytes()
-            if not state.topology_dirty:
-                for fam, table in zip(_FACET_FAMILIES, state.open_facets):
-                    np.testing.assert_array_equal(table.mask, fam.open_mask(grid))
-                    np.testing.assert_array_equal(table.index, np.flatnonzero(table.mask))
-                    radius0 = fam.arrays(grid)[0].reshape(-1)[table.index]
-                    np.testing.assert_array_equal(table.seal_radius,
-                                                  cfg.seal_fraction * radius0)
         assert closed_once
 
     def test_grid_edit_between_steps_reaches_the_tables(self, calcium):
-        # a caller that closes facets between steps and sets topology_dirty
-        # gets tables rebuilt from the grid; untouched families keep theirs
+        # a caller that closes facets between steps gets tables rebuilt from
+        # the grid at the next step; untouched families keep theirs
         state = initialize(scenario1_small(calcium))
         step(state)
-        assert not state.topology_dirty
         grid = state.grid
+        assert not closed_since_read(state)
         x_before, y_before, z_before = state.open_facets
         grid.x_state[2, 2, 2] = ApertureState.SEDIMENT_SEALED
         grid.z_state[3, 3, 1] = ApertureState.PARTICLE_BLOCKED
         grid.z_open_count[3, 3, 1] = 0
-        state.topology_dirty = True
-        # the rebuild alone already gives the concentrations the next
-        # capture reads: each membrane's pass, weighted over its open facets
-        engine._index_open_facets(state)
+        # the concentrations the next capture reads: each membrane's pass,
+        # weighted over its open facets
         open_ = (grid.z_state == ApertureState.OPEN) & (grid.z_open_count > 0)
         weights = np.where(open_, grid.z_open_count, 0)
         mean_pass = ((weights * pass_probability(grid.z_radius, state.config.l_particle))
                      .sum(axis=(0, 1)) / weights.sum(axis=(0, 1)))
+        counts = grid.z_open_count.copy()
+        step(state)
         np.testing.assert_allclose(
             state.layer_concentration,
             layer_concentrations(state.config.N_particles, mean_pass), rtol=1e-13)
-        step(state)
         x, y, z = state.open_facets
         assert z is not z_before and x is not x_before and y is y_before
         assert not x.mask[2, 2, 2] and not z.mask[3, 3, 1]
         assert x.index.size == x_before.index.size - 1
         assert z.index.size == z_before.index.size - 1
-        np.testing.assert_array_equal(z.weights, grid.z_open_count[z.mask])
+        np.testing.assert_array_equal(z.weights, counts[z.mask])
 
     def test_radius_edit_between_steps_reaches_the_capture_law(self, calcium, monkeypatch):
         # an edited radius changes no open facet, so the z table is kept; the
@@ -634,13 +663,12 @@ class TestOpenFacets:
         monkeypatch.setattr(engine, "_capture", recording)
         state = initialize(scenario1_small(calcium))
         step(state)
-        assert not state.topology_dirty
         grid, l_particle = state.grid, state.config.l_particle
+        assert not closed_since_read(state)
         before = pass_probability(grid.z_radius[2, 2, 0], l_particle)
         grid.z_radius[2, 2, 0] *= 0.5
         edited = pass_probability(grid.z_radius[2, 2, 0], l_particle)
         assert edited < 0.5 * before
-        state.topology_dirty = True
         open_ = (grid.z_state == ApertureState.OPEN) & (grid.z_open_count > 0)
         weights = np.where(open_, grid.z_open_count, 0)
         mean_pass = ((weights * pass_probability(grid.z_radius, l_particle)).sum(axis=(0, 1))
@@ -653,6 +681,48 @@ class TestOpenFacets:
         np.testing.assert_allclose(
             concentration, layer_concentrations(state.config.N_particles, mean_pass),
             rtol=1e-13)
+
+    @pytest.mark.parametrize("law", ["simple", "corrected"])
+    @pytest.mark.parametrize("multiplicity", [1, 3])
+    def test_capture_draws_follow_the_public_law(self, calcium, monkeypatch, law, multiplicity):
+        # the p every capture draw uses is step_blocking_probability's, with
+        # the membrane means taken per facet, bit for bit
+        drawn, checked, capture = [], [], engine._capture
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def binomial(self, n, p):
+                drawn.append(p)
+                return self.rng.binomial(n, p)
+
+        def checking(state, f_sub, catch_flow, dt):
+            z, m = state.open_facets[-1], state.grid.n_membranes
+            conc = state.layer_concentration[:m].take(z.membrane)
+            stats = None
+            if law == BLOCKING_CORRECTED:
+                denom = np.maximum(state.open_weights, 1)
+                simple = step_blocking_probability(z.pass_prob, f_sub, conc, dt)
+                mean_catch = np.bincount(z.membrane, z.weights * (1.0 - z.pass_prob) * f_sub,
+                                         minlength=m) / denom
+                mean_simple = np.bincount(z.membrane, z.weights * simple, minlength=m) / denom
+                stats = LayerStats(mean_catch.take(z.membrane), mean_simple.take(z.membrane))
+            want = step_blocking_probability(z.pass_prob, f_sub, conc, dt, law, stats)
+            closed = capture(state, f_sub, catch_flow, dt)
+            assert drawn[-1].tobytes() == want[want > 0].tobytes()
+            checked.append(drawn[-1].size)
+            return closed
+
+        monkeypatch.setattr(engine, "_capture", checking)
+        cfg = dataclasses.replace(scenario1_small(calcium), aperture_multiplicity=multiplicity,
+                                  N_particles=3e7, blocking_law=law)
+        state = initialize(cfg)
+        state.rng = Recorder(state.rng)
+        for _ in range(12):
+            step(state)
+        assert len(checked) == 12 and min(checked) > 0
+        assert state.catches.sum() > 0
 
     def test_state_counts_only_after_a_change(self, calcium, monkeypatch):
         from clogsim.model import CellGrid
@@ -667,8 +737,9 @@ class TestOpenFacets:
         state = initialize(scenario1_small(calcium))
         changed = 0
         for _ in range(150):
-            changed += state.topology_dirty
+            changed += closed_since_read(state)
             step(state)
         assert len(counted) == 1 + changed < 1 + 150
+        assert changed > 0
         for snap in state.trace[-3:]:
             assert sum(snap.open) + sum(snap.blocked) + sum(snap.sealed) == 6 * 6 * 5
