@@ -24,7 +24,6 @@ import numpy as np
 from .design import (LayerSchedule, equal_contamination_schedule, lifetime_estimates,
                      quantile_penetration_forms, quantile_schedule, uniform_schedule)
 from .engine import SimulationTrace, run
-from .hydraulics import ConvergenceError
 from .model import ApertureState, Chemistry, FilterConfig
 from .sediment import CalibrationInfeasibleError, calibrate_rate_constant
 
@@ -32,27 +31,26 @@ _STATE_CHARS = {int(state): char for state, char in zip(ApertureState, ".#o")}
 _STATE_NAMES = {int(state): state.name.lower().replace("_", "-") for state in ApertureState}
 
 
-def _int(key: str, value: str) -> int:
+def _int(label: str, value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ValueError(f"config key {key!r} expects an integer, got {value!r}") from None
+        raise ValueError(f"{label} expects an integer, got {value!r}") from None
 
 
 def _real(unit: str):
-    def parse(key: str, value: str) -> float:
+    def parse(label: str, value: str) -> float:
         try:
             return float(value)
         except ValueError:
-            raise ValueError(
-                f"config key {key!r} expects a number ({unit}), got {value!r}") from None
+            raise ValueError(f"{label} expects a number ({unit}), got {value!r}") from None
     return parse
 
 
 def _listed(parse_one):
     """Parse a comma-separated list; a single item stays a scalar."""
-    def parse(key: str, value: str):
-        vals = [parse_one(key, p.strip()) for p in value.split(",")]
+    def parse(label: str, value: str):
+        vals = [parse_one(label, p.strip()) for p in value.split(",")]
         return vals[0] if len(vals) == 1 else tuple(vals)
     return parse
 
@@ -64,23 +62,22 @@ def _listed_text(format_one):
 
 def _word_or(word: str, meaning, parse_other):
     """Parse ``word`` (any case) as ``meaning``, anything else with ``parse_other``."""
-    return lambda key, value: meaning if value.lower() == word else parse_other(key, value)
+    return lambda label, value: meaning if value.lower() == word else parse_other(label, value)
 
 
-def _parse_window(key: str, value: str):
+def _parse_window(label: str, value: str):
     if value.lower() == "full":
         return None
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != 2:
         raise ValueError(
-            f"config key {key!r} expects 'full' or 'a..b, c..d' (1-based cells), got {value!r}")
+            f"{label} expects 'full' or 'a..b, c..d' (1-based cells), got {value!r}")
     spans = []
     for part in parts:
         lo, sep, hi = part.partition("..")
         if not sep:
-            raise ValueError(
-                f"config key {key!r} expects spans like '6..14', got {part!r}")
-        spans.append((_int(key, lo.strip()), _int(key, hi.strip())))
+            raise ValueError(f"{label} expects spans like '6..14', got {part!r}")
+        spans.append((_int(label, lo.strip()), _int(label, hi.strip())))
     return tuple(spans)
 
 
@@ -90,14 +87,14 @@ def _format_window(window) -> str:
     return ", ".join(f"{lo}..{hi}" for lo, hi in window)
 
 
-def _text(key: str, value: str) -> str:
+def _text(label: str, value: str) -> str:
     return value   # FilterConfig.validate checks the allowed words
 
 
 class _Key(NamedTuple):
     key: str      # name in the config file
     field: str    # FilterConfig field; Chemistry field for the chemistry.* keys
-    parse: Callable[[str, str], object]   # (key, text) -> value
+    parse: Callable[[str, str], object]   # (label for errors, text) -> value
     format: Callable[[object], str]
     echo: str     # format_config writes the key _ALWAYS, _WITH_CHEMISTRY or when _NOT_DEFAULT
 
@@ -168,7 +165,7 @@ def parse_config_text(text: str) -> FilterConfig:
     for row in _SCHEMA:
         if row.key in values:
             target = chem_vals if row.chemical else kwargs
-            target[row.field] = row.parse(row.key, values.pop(row.key))
+            target[row.field] = row.parse(f"config key {row.key!r}", values.pop(row.key))
     if chem_vals:
         missing = [row.key for row in _SCHEMA if row.chemical and row.field not in chem_vals]
         if missing:
@@ -314,7 +311,8 @@ def _cmd_simulate(args) -> int:
     for key in ("time_limit", "dt", "blocking_law"):
         text = getattr(args, key)
         if text is not None:
-            config = replace(config, **{key: _SCHEMA_BY_KEY[key].parse(key, text)})
+            flag = "--" + key.replace("_", "-")
+            config = replace(config, **{key: _SCHEMA_BY_KEY[key].parse(flag, text)})
     if args.no_chemistry:
         config = replace(config, chemistry=None)
     seeds = (_parse_seed_spec(args.seed) if args.seed is not None
@@ -327,7 +325,7 @@ def _cmd_simulate(args) -> int:
         run_config = replace(config, seed=seed)
         try:
             trace = run(run_config)
-        except ConvergenceError as exc:
+        except RuntimeError as exc:   # a stalled solve, or the step limit
             print(f"error: seed {seed}: {exc}", file=sys.stderr)
             failed = True
             continue

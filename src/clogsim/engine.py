@@ -21,16 +21,16 @@ writes only the grid and ``catches``.  The read keeps, per facet family, a
 compact table of its open facets in flat index order: their indices and
 seal radii, and for the filtering family each facet's membrane, open
 sub-aperture count and pass probability at its current radius.  A family
-whose open facets did not change keeps its table; the membrane state
-counts are recounted only when some table changed.  A step computes
+whose open facets did not change keeps its table.  A step computes
 radius, speed, wall concentration, shrink rate, shrink cap, deposit and
 seal test once on these arrays, and the membranes' open weights, catch
-hazard and layer concentrations once.  Between steps the state's tables,
-open weights, layer concentrations and state counts are the values the
-last step used (after ``initialize``, those of the clean grid); a caller
-may edit any grid array between steps, and the next step reads the edit,
-except that an edit moving a closed facet between blocked and sealed
-reaches the state counts only at the next change of the open facets.
+hazard and layer concentrations once.  A trace row counts the membranes'
+open, blocked and sealed facets on the grid when it is written.  Between
+steps the state's tables, open weights and layer concentrations are the
+values the last step used (after ``initialize``, those of the clean grid).
+A caller may edit any grid array between steps, and the next step reads
+the edit, except the as-built radii ``*_radius0``: they fix the seal radii
+and the default solver tolerance.
 """
 
 from __future__ import annotations
@@ -219,8 +219,7 @@ class SimulationState:
     trace: list[TraceSnapshot] = field(default_factory=list)
     # per facet family, in _FACET_FAMILIES order, its open facets
     open_facets: tuple[_OpenFacets, ...] = ()
-    # per membrane: (open, blocked, sealed) facet counts, and open sub-apertures
-    membrane_counts: tuple[np.ndarray, ...] = ()
+    # per membrane: open sub-apertures
     open_weights: np.ndarray | None = None
     # the coarse multigrid levels the step solves share
     hierarchy: Hierarchy = field(default_factory=Hierarchy)
@@ -233,10 +232,10 @@ class SimulationState:
 def _read_grid(state: SimulationState) -> None:
     """Read the grid a step starts from: the open-facet tables (a family
     whose open facets are unchanged keeps its table), the filtering facets'
-    sub-aperture counts and pass probabilities, the open weights and layer
-    concentrations they give, and the state counts when a table changed."""
+    sub-aperture counts and pass probabilities, and the open weights and
+    layer concentrations they give."""
     grid, cfg = state.grid, state.config
-    tables, changed = [], False
+    tables = []
     for fam, old in zip(_FACET_FAMILIES, state.open_facets or (None,) * len(_FACET_FAMILIES)):
         mask = fam.open_mask(grid)
         table = old
@@ -245,11 +244,8 @@ def _read_grid(state: SimulationState) -> None:
                                 cfg.seal_fraction * fam.arrays(grid)[0][mask])
             if fam.filtering:
                 table.membrane = np.broadcast_to(np.arange(grid.n_membranes), mask.shape)[mask]
-            changed = True
         tables.append(table)
     state.open_facets = tuple(tables)
-    if changed:
-        state.membrane_counts = grid.membrane_state_counts()
     z, m, rod = tables[-1], grid.n_membranes, cfg.l_particle
     z.weights = grid.z_open_count[z.mask]
     r = grid.z_radius[z.mask]
@@ -304,11 +300,10 @@ def _adaptive_dt(state: SimulationState, catch_flow, kinetics) -> float:
     """The largest step within the capture and the shrink budgets; inf when
     neither applies.  ``catch_flow`` is each membrane's sum of w (1 - q) f_sub."""
     caps = []
-    if catch_flow is not None:
-        hazard = state.layer_concentration[:state.grid.n_membranes] * catch_flow
-        live = hazard > 0
-        if live.any():
-            caps.append(_BLOCK_FRACTION * float((state.open_weights[live] / hazard[live]).min()))
+    hazard = state.layer_concentration[:state.grid.n_membranes] * catch_flow
+    live = hazard > 0
+    if live.any():
+        caps.append(_BLOCK_FRACTION * float((state.open_weights[live] / hazard[live]).min()))
     for r, rate, _ in kinetics:
         busy = rate > 0
         if busy.all():
@@ -319,10 +314,9 @@ def _adaptive_dt(state: SimulationState, catch_flow, kinetics) -> float:
     return min(caps) if caps else np.inf
 
 
-def _record(state: SimulationState, dt: float, total: float, warning: bool,
-            counts=None) -> None:
-    """Append a trace row; ``counts`` defaults to the grid's current state counts."""
-    counts = (*(counts or state.grid.membrane_state_counts()), state.catches)
+def _record(state: SimulationState, dt: float, total: float, warning: bool) -> None:
+    """Append a trace row, with the grid's current state counts."""
+    counts = (*state.grid.membrane_state_counts(), state.catches)
     state.trace.append(TraceSnapshot(
         state.time, dt, total, *(tuple(int(v) for v in group) for group in counts), warning))
 
@@ -443,10 +437,8 @@ def step(state: SimulationState) -> SimulationState:
     z = state.open_facets[-1]
     f_sub = np.abs(flows.flow_z[z.mask]) / z.weights
     kinetics = _aperture_kinetics(state, flows, f_sub) if chem is not None else ()
-    catch_flow = None
-    if cfg.N_particles > 0 and cfg.l_particle > 0 and state.open_weights.any():
-        catch_flow = np.bincount(z.membrane, z.weights * (1.0 - z.pass_prob) * f_sub,
-                                 minlength=grid.n_membranes)
+    catch_flow = np.bincount(z.membrane, z.weights * (1.0 - z.pass_prob) * f_sub,
+                             minlength=grid.n_membranes)
 
     if isinstance(cfg.dt, (int, float)):
         dt = float(cfg.dt)
@@ -466,11 +458,8 @@ def step(state: SimulationState) -> SimulationState:
     if not dt > 0:
         raise ValueError(f"time step must be positive, got {dt!r}")
 
-    _record(state, dt, total, _depletion_warning(state, kinetics), state.membrane_counts)
-
-    closed = (_capture(state, f_sub, catch_flow, dt) if catch_flow is not None
-              else np.empty(0, dtype=np.intp))
-    _deposit(state, kinetics, dt, closed)
+    _record(state, dt, total, _depletion_warning(state, kinetics))
+    _deposit(state, kinetics, dt, _capture(state, f_sub, catch_flow, dt))
     state.time += dt
     state.steps += 1
     state.prev_dt, state.last_dt = state.last_dt, dt

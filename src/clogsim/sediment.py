@@ -284,9 +284,11 @@ def axial_depletion(chem: Chemistry, cavity_radius: float, c0: float, c1: float,
     Balances the wall sink 2 pi R k c1^n L against the volumetric transport
     pi R^2 v0 / 2 through a cavity of radius R, giving
     delta_c0 = 4 k c1^n L / (v0 R).  Also reports the cross-section average
-    concentration: piecewise profile c0 in the fast core, linear down to c1
-    across the slow annulus (which collapses to c0/3 + 2 c1/3 when the
-    annulus fills the cavity).
+    concentration: piecewise profile c0 in the fast core of radius r, linear
+    down to c1 across the slow annulus, averaged over the cross-section:
+    (c0 (R^2 + R r + r^2) + c1 (R - r)(2R + r)) / (3 R^2).  Below the
+    stationary speed the annulus fills the cavity (r = 0), which gives
+    c0/3 + 2 c1/3.
     """
     if not cavity_radius > 0:
         raise ValueError(f"cavity_radius must be positive (m), got {cavity_radius!r}")
@@ -299,15 +301,11 @@ def axial_depletion(chem: Chemistry, cavity_radius: float, c0: float, c1: float,
     else:
         delta = math.inf
 
-    v_stat = stationary_velocity(chem, cavity_radius, c0)
-    if v0 > v_stat:
-        y = min(max(D * (c0 - c1) / (sink * cavity_radius), 0.0), 1.0)
-        r = (1.0 - y) * cavity_radius
-        R = cavity_radius
-        quad = (R * R + R * r + r * r) / (R * R)   # (R^3 - r^3)/(R - r), scaled
-        avg = (c0 * (r * r + R * (R + r)) / (R * R) - c0 * (2.0 / 3.0) * quad
-               + c1 * (-r * (R + r)) / (R * R) + c1 * (2.0 / 3.0) * quad)
-    else:
-        avg = c0 / 3.0 + 2.0 * c1 / 3.0
+    R = cavity_radius
+    y = 1.0   # slow-layer share of the radius; all of it when diffusion-limited
+    if v0 > stationary_velocity(chem, R, c0):
+        y = min(max(D * (c0 - c1) / (sink * R), 0.0), 1.0)
+    r = (1.0 - y) * R
+    avg = (c0 * (R * R + R * r + r * r) + c1 * (R - r) * (2.0 * R + r)) / (3.0 * R * R)
 
     return DepletionEstimate(float(delta), float(avg), bool(delta / c0 < threshold))

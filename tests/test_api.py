@@ -41,4 +41,4 @@ def test_simulation_state_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(clogsim.SimulationState)] == [
         "config", "grid", "pressures", "layer_concentration", "catches", "time", "steps",
         "rng", "solver_tol", "clean_flow", "last_dt", "prev_pressures", "prev_dt",
-        "trace", "open_facets", "membrane_counts", "open_weights", "hierarchy"]
+        "trace", "open_facets", "open_weights", "hierarchy"]

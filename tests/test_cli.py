@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import fields
@@ -9,6 +10,7 @@ import pytest
 
 from clogsim.cli import (_SCHEMA, _parse_seed_spec, format_config, main,
                          parse_config, parse_config_text, write_run_artifacts)
+from clogsim import engine
 from clogsim.engine import run
 from clogsim.hydraulics import ConvergenceError
 from clogsim.model import Chemistry, FilterConfig
@@ -346,6 +348,30 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "error: seed 2: pressure conjugate gradient stalled\n"
         for seed, written in ((1, True), (2, False), (3, True)):
             assert (out / f"seed_{seed}" / "trace.csv").exists() == written
+
+    def test_step_limit_ends_its_seed_not_the_command(self, tmp_path, monkeypatch, capsys):
+        # run's step limit is a failed seed like a stalled solve: named,
+        # skipped, exit 4; the next seed still runs
+        monkeypatch.setattr("clogsim.cli.run", functools.partial(engine.run, max_steps=2))
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(SMALL)
+        code = main(["simulate", "--config", str(cfg_path), "--seed", "1..2",
+                     "--out", str(tmp_path / "batch")])
+        assert code == 4
+        assert capsys.readouterr().err == "".join(
+            f"error: seed {seed}: run exceeded max_steps = 2 without stopping\n"
+            for seed in (1, 2))
+        assert not (tmp_path / "batch").exists()
+
+    @pytest.mark.parametrize("flag", ["--time-limit", "--dt"])
+    def test_bad_override_names_the_flag(self, tmp_path, capsys, flag):
+        cfg_path = tmp_path / "small.cfg"
+        cfg_path.write_text(SMALL)
+        code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run"),
+                     flag, "abc"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {flag} expects a number (s), got 'abc'\n"
+        assert not (tmp_path / "run").exists()
 
     def test_overrides_reach_the_echo(self, tmp_path):
         cfg_path = tmp_path / "seal.cfg"

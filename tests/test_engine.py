@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -540,6 +541,10 @@ class TestDepletionFlag:
 
 
 
+# SHA-256 of the trace text of scenario1_small with captures ruled out
+NO_CAPTURE_SHA256 = "02603ba2f568c5e55811c06ce021433a71acfeb01e53f5cddd28d1af8d0810f7"
+
+
 class TestPinnedTraces:
     """Trace text of two runs, captured when the order-1 wall concentration
     became a closed-form root, again when the pressure CG moved to float32
@@ -561,6 +566,17 @@ class TestPinnedTraces:
         assert trace.to_csv() == want
         final = trace.snapshots[-1]
         assert sum(final.sealed) > 0 and sum(final.catches) > sum(final.blocked) > 0
+
+    @pytest.mark.parametrize("law", ["simple", "corrected"])
+    @pytest.mark.parametrize("no_capture", ["N_particles", "l_particle"])
+    def test_runs_without_captures(self, calcium, law, no_capture):
+        # no particles, or rods of length 0: every capture probability is 0,
+        # so sediment alone decides the run, under either law
+        cfg = dataclasses.replace(scenario1_small(calcium), blocking_law=law,
+                                  **{no_capture: 0.0})
+        trace = run(cfg)
+        assert sum(trace.final_counts()[group] for group in ("blocked", "catches")) == 0
+        assert hashlib.sha256(trace.to_csv().encode()).hexdigest() == NO_CAPTURE_SHA256
 
 
 def closed_since_read(state) -> bool:
@@ -724,22 +740,39 @@ class TestOpenFacets:
         assert len(checked) == 12 and min(checked) > 0
         assert state.catches.sum() > 0
 
-    def test_state_counts_only_after_a_change(self, calcium, monkeypatch):
-        from clogsim.model import CellGrid
-        counted = []
-        original = CellGrid.membrane_state_counts
-
-        def counting(grid):
-            counted.append(grid)
-            return original(grid)
-
-        monkeypatch.setattr(CellGrid, "membrane_state_counts", counting)
+    def test_row_counts_are_the_grid_at_the_step_start(self, calcium):
+        # a row's open/blocked/sealed counts come from the grid the step
+        # started from, on steps that closed facets and on steps that did not
         state = initialize(scenario1_small(calcium))
         changed = 0
         for _ in range(150):
             changed += closed_since_read(state)
+            want = tuple(tuple(int(v) for v in c) for c in state.grid.membrane_state_counts())
             step(state)
-        assert len(counted) == 1 + changed < 1 + 150
-        assert changed > 0
+            snap = state.trace[-1]
+            assert (snap.open, snap.blocked, snap.sealed) == want
+        assert 0 < changed < 150
         for snap in state.trace[-3:]:
             assert sum(snap.open) + sum(snap.blocked) + sum(snap.sealed) == 6 * 6 * 5
+
+    def test_blocked_to_sealed_edit_reaches_the_next_row(self):
+        # an edit that moves a closed facet from blocked to sealed changes no
+        # open facet, after a step that closed nothing; the next row still
+        # counts the grid as edited
+        state = initialize(make_config(dt=2000.0, seed=3))
+        grid = state.grid
+        for _ in range(200):
+            step(state)
+            if (grid.z_state == ApertureState.PARTICLE_BLOCKED).any() \
+                    and not closed_since_read(state):
+                break
+        else:
+            pytest.fail("no quiet step after a capture")
+        blocked = np.argwhere(grid.z_state == ApertureState.PARTICLE_BLOCKED)[0]
+        grid.z_state[tuple(blocked)] = ApertureState.SEDIMENT_SEALED
+        _, want_blocked, want_sealed = grid.membrane_state_counts()
+        step(state)
+        snap = state.trace[-1]
+        assert snap.blocked == tuple(int(v) for v in want_blocked)
+        assert snap.sealed == tuple(int(v) for v in want_sealed)
+        assert sum(snap.sealed) == 1

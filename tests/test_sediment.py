@@ -299,6 +299,24 @@ class TestAxialDepletion:
         assert hi.average_concentration == pytest.approx(
             lo.average_concentration, rel=1e-6)
 
+    @pytest.mark.parametrize("core, fast", [(0.0, True), (0.3, True), (0.9, True),
+                                            (1.0, True), (0.0, False)])
+    def test_average_is_the_profile_quadrature(self, calcium, core, fast):
+        # the cross-section average of the piecewise profile (c0 in the core
+        # of radius r, linear to c1 at the wall), by trapezoid quadrature
+        c0, R = ENTRANCE_CONCENTRATION, 2.5e-5
+        v_stat = stationary_velocity(calcium, R, c0)
+        # the wall concentration whose slow layer leaves a core of core * R
+        c1 = (DIFFUSIVITY * c0 / (DIFFUSIVITY + (1.0 - core) * RATE_CONSTANT * R) if fast
+              else WALL_CONCENTRATION)
+        est = axial_depletion(calcium, R, c0, c1, 10 * v_stat if fast else 0.1 * v_stat, 1e-3)
+        r = core * R
+        rho = np.union1d(np.linspace(0.0, r, 2001), np.linspace(r, R, 20001))
+        slope = (c1 - c0) / (R - r) if r < R else 0.0
+        profile = np.where(rho <= r, c0, c0 + slope * (rho - r))
+        want = 2.0 * np.trapezoid(profile * rho, rho) / (R * R)
+        assert est.average_concentration == pytest.approx(want, rel=1e-8)
+
     def test_fast_average_between_wall_and_core(self, calcium):
         c0 = ENTRANCE_CONCENTRATION
         R = 2.5e-5
